@@ -194,14 +194,6 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
     return report
 
 
-def sinks_gamma1(report: ExperimentReport) -> list[Isoclass]:
-    return report.gamma1_sinks()
-
-
-def sinks_gamma2(report: ExperimentReport) -> list[Isoclass]:
-    return report.gamma2_sinks()
-
-
 # -- combinatorial candidates for the deepest representations ---------------
 
 def _interval(lab_name: str) -> tuple[int, int]:

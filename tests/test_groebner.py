@@ -1,7 +1,9 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivergrass.groebner import (
     GPoly,
@@ -16,6 +18,7 @@ from quivergrass.groebner import (
     projective_dimension,
 )
 from quivergrass.linalg import PrimeField
+from quivergrass.lab import PrincipalConfig
 from quivergrass.pluecker import PlueckerRing, ideal
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass.reps import Representation
@@ -27,6 +30,49 @@ def gp(coeffs, p=107):
 
 def single_vertex_ring(d, e):
     return PlueckerRing(Quiver([1], []), (d,), (e,))
+
+
+def brute_hilbert(ring, basis, m):
+    """Oracle: list every multidegree-m monomial and test it against every
+    leading term."""
+    nvars = len(ring)
+    leads = [g.lead for g in basis]
+    per_block = [
+        list(itertools.combinations_with_replacement(range(lo, hi), deg))
+        for (lo, hi), deg in zip(ring.block, m)
+    ]
+    count = 0
+    for combos in itertools.product(*per_block):
+        exps = [0] * nvars
+        for combo in combos:
+            for idx in combo:
+                exps[idx] += 1
+        if not any(all(map(operator.le, lead, exps)) for lead in leads):
+            count += 1
+    return count
+
+
+def layout_ring(sizes):
+    """A ring on a type A quiver whose vertex blocks have the given numbers
+    of variables: Gr(1, k) for k >= 2, Gr(0, 1) for k = 1."""
+    q = linear_quiver(len(sizes))
+    d = tuple(sizes)
+    e = tuple(0 if k == 1 else 1 for k in sizes)
+    return PlueckerRing(q, d, e)
+
+
+def monomial_basis(leads, p=107):
+    return [gp({tuple(lead): 1}, p) for lead in leads]
+
+
+@st.composite
+def monomial_ideals(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ring = layout_ring(sizes)
+    lead = st.lists(st.integers(0, 2), min_size=len(ring), max_size=len(ring))
+    leads = draw(st.lists(lead, max_size=12))
+    m = draw(st.lists(st.integers(0, 3), min_size=len(sizes), max_size=len(sizes)))
+    return ring, monomial_basis(leads), tuple(m)
 
 
 def test_normal_form_reduces_members_to_zero():
@@ -92,36 +138,72 @@ def test_krull_dimension_monomial_cases():
 
 
 def test_hilbert_component_brute_oracle():
-    # quiver 1 -> 2 with identity map on dims (2, 2), e = (1, 1):
-    # count multidegree-(m1, m2) standard monomials directly
+    # quiver 1 -> 2 with identity map on dims (2, 2), e = (1, 1)
     q = linear_quiver(2)
     f = PrimeField(107)
     m = Representation(q, f, (2, 2), [f.eye(2)])
     ring, gens = ideal(m, (1, 1))
     basis = groebner_basis(ring, gens, 107, max_degree=6)
-    from quivergrass.groebner import _grevlex_key
-    leads = [max(g.coeffs, key=_grevlex_key) for g in basis]
-
-    def brute(mdeg):
-        nv = len(ring)
-        total = 0
-        degsum = sum(mdeg)
-        for expo in itertools.product(range(degsum + 1), repeat=nv):
-            if sum(expo) != degsum:
-                continue
-            # multidegree: exponent sum per vertex block
-            md = [0, 0]
-            for k, ev in enumerate(expo):
-                md[0 if k < 2 else 1] += ev
-            if tuple(md) != tuple(mdeg):
-                continue
-            if any(all(ev >= lv for ev, lv in zip(expo, lead)) for lead in leads):
-                continue
-            total += 1
-        return total
-
     for mdeg in [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]:
-        assert hilbert_component(ring, basis, mdeg) == brute(mdeg)
+        assert hilbert_component(ring, basis, mdeg) == brute_hilbert(ring, basis, mdeg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_ideals())
+def test_hilbert_component_matches_oracle_on_random_monomial_ideals(case):
+    ring, basis, m = case
+    assert hilbert_component(ring, basis, m) == brute_hilbert(ring, basis, m)
+
+
+def test_hilbert_component_edge_cases():
+    ring = layout_ring([3, 1, 4])  # the middle block is Gr(0, 1): one variable
+    basis = monomial_basis([(1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 2, 0)])
+    # m = 0: only the constant monomial
+    assert hilbert_component(ring, basis, (0, 0, 0)) == 1
+    # empty basis: all prod_i C(k_i + m_i - 1, m_i) candidates are standard
+    for m, total in [((0, 0, 0), 1), ((2, 3, 1), 6 * 1 * 4), ((3, 0, 2), 10 * 1 * 10)]:
+        assert hilbert_component(ring, [], m) == total
+    # one-variable block: its only degree-m_i monomial is x^m_i
+    assert hilbert_component(ring, [], (0, 5, 0)) == 1
+    single = monomial_basis([(0, 0, 0, 2, 0, 0, 0, 0)])
+    assert hilbert_component(ring, single, (0, 1, 0)) == 1
+    assert hilbert_component(ring, single, (1, 2, 1)) == 0
+    # the second lead has degree 2 > m_3 = 1 in the last block: it divides
+    # nothing, so only the first lead cuts (5 of 6 block-1 quadrics survive)
+    for m in [(2, 1, 1), (2, 0, 1)]:
+        expected = brute_hilbert(ring, basis, m)
+        assert hilbert_component(ring, basis, m) == expected
+        assert hilbert_component(ring, basis[:1], m) == expected
+    assert hilbert_component(ring, basis, (2, 0, 1)) == 5 * 4
+
+
+D4_SUBSPACE_NODES = [
+    # the smallest Hilbert values in degrees <= 2 (demo 04's M2), middling
+    # values and the largest ones
+    "2*V(1,0,0,0) + V(1,1,0,0) + V(0,1,0,0) + V(1,1,1,0) + "
+    "2*V(0,0,1,0) + V(1,1,0,1) + 2*V(0,0,0,1)",
+    "3*V(0,0,0,1) + 2*V(0,0,1,0) + V(1,0,0,0) + 3*V(1,1,0,0) + V(1,1,1,0)",
+    "3*V(0,0,0,1) + 3*V(0,0,1,0) + 4*V(0,1,0,0) + 5*V(1,0,0,0)",
+]
+
+
+@pytest.mark.parametrize("scope", ["arrows", "paths"])
+def test_hilbert_component_matches_oracle_on_d4_subspace_ideals(scope):
+    cfg = PrincipalConfig(Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),
+                          (1, 0, 1, 1), (1, 1, 1, 1))
+    for text in D4_SUBSPACE_NODES:
+        rep = cfg.catalog.realize(cfg.catalog.parse_isoclass(text))
+        ring, gens = ideal(rep, cfg.e, scope=scope)
+        basis = groebner_basis(ring, gens, cfg.catalog_prime, max_degree=8)
+        for m in itertools.product(range(3), repeat=4):
+            assert hilbert_component(ring, basis, m) == brute_hilbert(ring, basis, m)
+
+
+def test_hilbert_component_budget_error_names_both_numbers():
+    ring = layout_ring([3, 2])
+    with pytest.raises(GroebnerError, match=r"\b6\b.*\b1\b"):
+        hilbert_component(ring, [], (1, 1), budget=1)
+    assert hilbert_component(ring, [], (1, 1), budget=6) == 6
 
 
 def test_hilbert_values_flag_example():
