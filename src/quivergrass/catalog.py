@@ -359,9 +359,6 @@ class Catalog:
             counts[self.label_by_name(name.strip())] += mult
         return Isoclass(counts)
 
-    def format_isoclass(self, iso: Isoclass) -> str:
-        return f"rep: {iso}"
-
 
 @lru_cache(maxsize=None)
 def _cached_catalog(quiver: Quiver, p: int) -> Catalog:

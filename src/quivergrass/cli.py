@@ -15,16 +15,17 @@ import os
 import sys
 
 from .catalog import get_catalog
-from .groebner import groebner_basis, hilbert_table, hilbert_table_json, projective_dimension
+from .groebner import hilbert_table, hilbert_table_json
 from .lab import (
     PrincipalConfig,
     check_conjecture,
     classify_all,
+    classify_node,
     report_dot,
     report_json,
 )
 from .pluecker import export_macaulay2, export_text, ideal
-from .pointcount import classify, count_points
+from .pointcount import count_points
 from .poset import build_poset, generic_isoclass
 from .quiver import parse_quiver
 
@@ -46,12 +47,10 @@ def _config(args) -> PrincipalConfig:
     kwargs = {}
     if args.prime:
         kwargs["catalog_prime"] = args.prime
-    if args.primes:
-        kwargs["max_prime"] = max(int(t) for t in args.primes.replace(",", " ").split())
+    if args.max_prime:
+        kwargs["max_prime"] = args.max_prime
     if args.max_nodes:
         kwargs["max_nodes"] = args.max_nodes
-    if args.jobs:
-        kwargs["jobs"] = args.jobs
     return PrincipalConfig(q, _mult(args.proj, q.n), _mult(args.inj, q.n), **kwargs)
 
 
@@ -79,9 +78,9 @@ def main(argv=None) -> int:
             p.add_argument("--proj", required=True, help="projective multiplicities, e.g. 1,1,1")
             p.add_argument("--inj", required=True, help="injective multiplicities")
         p.add_argument("--prime", type=int, default=0, help="working prime (default 107)")
-        p.add_argument("--primes", default="", help="interpolation primes, e.g. 2,3,5,7")
+        p.add_argument("--max-prime", type=int, default=0,
+                       help="largest interpolation prime (default 101)")
         p.add_argument("--max-nodes", type=int, default=0, help="poset size budget")
-        p.add_argument("--jobs", type=int, default=0, help="parallel width")
         p.add_argument("--out", default="", help="output directory (default: stdout)")
 
     p = sub.add_parser("catalog", help="list the indecomposables and Hom matrix")
@@ -175,10 +174,7 @@ def main(argv=None) -> int:
                json.dumps({"isoclass": str(iso), "p": p, "count": str(value)}) + "\n")
     elif args.verb == "classify":
         iso = pick_isoclass(args.isoclass)
-        cls = classify(lambda p: cfg.catalog_at(p).realize(iso), cfg.e,
-                       max_prime=cfg.max_prime,
-                       enum_budget=cfg.enum_budget,
-                       pair_budget=cfg.pair_budget)
+        cls = classify_node(cfg, iso)
         _write(args, "classify.json", cls.to_json(str(iso)) + "\n")
     elif args.verb == "conjecture":
         verdict = check_conjecture(cfg, args.which)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .catalog import Catalog, Isoclass, IndecLabel, get_catalog
-from .groebner import GroebnerError, groebner_basis, hilbert_component
+from .groebner import GroebnerError, hilbert_table
 from .pluecker import ideal
 from .pointcount import (
     Classification,
@@ -34,6 +34,9 @@ class LabError(ValueError):
     pass
 
 
+_COMPUTE_KEYS = ("catalog_prime", "max_prime", "max_nodes", "enum_budget", "pair_budget")
+
+
 class PrincipalConfig:
     """P = sum u^P_j P_j, I = sum u^I_j I_j and everything derived from them."""
 
@@ -41,8 +44,7 @@ class PrincipalConfig:
                  catalog_prime: int = 107, max_prime: int = 101,
                  max_nodes: int = DEFAULT_NODE_BUDGET,
                  enum_budget: int = DEFAULT_ENUM_BUDGET,
-                 pair_budget: int = DEFAULT_PAIR_BUDGET,
-                 jobs: int = 1):
+                 pair_budget: int = DEFAULT_PAIR_BUDGET):
         self.quiver = quiver
         self.proj_mult = quiver.check_dimvector(proj_mult)
         self.inj_mult = quiver.check_dimvector(inj_mult)
@@ -51,7 +53,6 @@ class PrincipalConfig:
         self.max_nodes = max_nodes
         self.enum_budget = enum_budget
         self.pair_budget = pair_budget
-        self.jobs = jobs
         cat = self.catalog
         self.proj_iso = _multiplicity_iso(cat, self.proj_mult, cat.projective_label)
         self.inj_iso = _multiplicity_iso(cat, self.inj_mult, cat.injective_label)
@@ -80,7 +81,9 @@ class PrincipalConfig:
         """Plain sectioned key-value config; see the repository examples.
 
         Sections: [quiver] (file= or inline arrows), [principal]
-        (proj=/inj= comma lists), [compute] (primes/max_nodes/budgets/jobs).
+        (proj=/inj= comma lists), [compute] (catalog_prime, max_prime,
+        max_nodes, enum_budget, pair_budget; integers).  An unknown
+        [compute] key raises LabError rather than running with a default.
         """
         cp = configparser.ConfigParser()
         with open(path) as fh:
@@ -96,11 +99,10 @@ class PrincipalConfig:
         inj = _int_list(cp.get("principal", "inj"))
         kwargs = {}
         if cp.has_section("compute"):
-            for key, cast in (("catalog_prime", int), ("max_prime", int),
-                              ("max_nodes", int), ("enum_budget", int),
-                              ("pair_budget", int), ("jobs", int)):
-                if cp.has_option("compute", key):
-                    kwargs[key] = cast(cp.get("compute", key))
+            for key, value in cp.items("compute"):
+                if key not in _COMPUTE_KEYS:
+                    raise LabError(f"unknown [compute] key {key!r} in {path}")
+                kwargs[key] = int(value)
         kwargs.update(overrides)
         return cls(quiver, proj, inj, **kwargs)
 
@@ -139,7 +141,8 @@ class ExperimentReport:
         return self.poset.sinks(self.gamma2)
 
 
-def _classify_node(cfg: PrincipalConfig, iso: Isoclass) -> Classification:
+def classify_node(cfg: PrincipalConfig, iso: Isoclass) -> Classification:
+    """Counting-polynomial classification of one isoclass within cfg's budgets."""
     return classify(
         lambda p: cfg.catalog_at(p).realize(iso),
         cfg.e,
@@ -162,7 +165,7 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
     report = ExperimentReport(cfg, poset)
     for k, iso in enumerate(poset.nodes):
         try:
-            cls = _classify_node(cfg, iso)
+            cls = classify_node(cfg, iso)
         except (CountError, GroebnerError) as exc:
             report.gaps.append(f"{iso}: {exc}")
             continue
@@ -360,12 +363,8 @@ class Verdict:
 
 
 def _hilbert_dims(cfg: PrincipalConfig, iso: Isoclass, degrees, scope: str) -> list[int]:
-    cat = cfg.catalog
-    m = cat.realize(iso)
-    ring, gens = ideal(m, cfg.e, scope=scope)
-    max_total = max(sum(mm) for mm in degrees)
-    basis = groebner_basis(ring, gens, cfg.catalog_prime, max_degree=max_total)
-    return [hilbert_component(ring, basis, mm) for mm in degrees]
+    ring, gens = ideal(cfg.catalog.realize(iso), cfg.e, scope=scope)
+    return [row["dim"] for row in hilbert_table(ring, gens, cfg.catalog_prime, degrees)]
 
 
 def check_conjecture(cfg: PrincipalConfig, which: str, *,
@@ -374,7 +373,9 @@ def check_conjecture(cfg: PrincipalConfig, which: str, *,
     """Evaluate one of the five conjecture-style statements A-E."""
     which = which.upper()
     if which == "A":
-        return _check_a(cfg, max_multidegree)
+        poset = (report.poset if report is not None
+                 else build_poset(cfg.catalog, cfg.d, budget=cfg.max_nodes))
+        return _check_a(cfg, poset, max_multidegree)
     if report is None:
         report = classify_all(cfg)
     if which == "B":
@@ -388,12 +389,10 @@ def check_conjecture(cfg: PrincipalConfig, which: str, *,
     raise LabError(f"unknown conjecture {which!r}")
 
 
-def _check_a(cfg: PrincipalConfig, max_multidegree: int) -> Verdict:
+def _check_a(cfg: PrincipalConfig, poset: IsoclassPoset, max_multidegree: int) -> Verdict:
     """Probe: does adding path relations to arrow relations change any
     Hilbert value?  A strict drop means the arrow ideal alone is too small;
     no verdict on reducedness is implied either way."""
-    cat = cfg.catalog
-    poset = build_poset(cat, cfg.d, budget=cfg.max_nodes)
     degrees = [mm for mm in itertools.product(range(max_multidegree + 1),
                                               repeat=cfg.quiver.n)]
     drops = []
@@ -471,15 +470,14 @@ def _check_e(cfg: PrincipalConfig, report: ExperimentReport,
              max_multidegree: int) -> Verdict:
     """dim Pl_m(M) >= dim Pl_m(M0) everywhere, with equality at every m
     exactly on the minimal-dimension locus."""
-    cat = cfg.catalog
     degrees = [mm for mm in itertools.product(range(max_multidegree + 1),
                                               repeat=cfg.quiver.n)]
-    generic = generic_isoclass(cat, cfg.d, budget=cfg.max_nodes)
-    base = _hilbert_dims(cfg, generic, degrees, "arrows")
+    generic = generic_isoclass(cfg.catalog, cfg.d, budget=cfg.max_nodes)
+    tables = {iso: _hilbert_dims(cfg, iso, degrees, "arrows") for iso in report.poset.nodes}
+    base = tables[generic]
     violations = []
     equal_set = []
-    for iso in report.poset.nodes:
-        dims = _hilbert_dims(cfg, iso, degrees, "arrows")
+    for iso, dims in tables.items():
         if any(dn < db for dn, db in zip(dims, base)):
             violations.append(str(iso))
         if dims == base:

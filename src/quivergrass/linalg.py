@@ -144,20 +144,6 @@ class PrimeField:
             x[pc] = red[r, ncols:]
         return x[:, 0] if vec else x
 
-    def quotient_map(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The induced map of ``a`` into a complement-coordinate model of V/U.
-
-        ``u`` has columns spanning a subspace U of the codomain V of ``a``.
-        The model of V/U uses the non-pivot coordinates of rref(U^T) as a
-        deterministic complement.
-        """
-        a = self.mat(a)
-        u = self.mat(u)
-        if u.shape[0] != a.shape[0]:
-            raise LinalgError("subspace lives in the wrong space")
-        proj = self.quotient_projection(u)
-        return self.mul(proj, a)
-
     def quotient_projection(self, u: np.ndarray) -> np.ndarray:
         """Projection V -> V/U in the complement-coordinate model.
 

@@ -136,9 +136,6 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def scale_mod(self, p: int) -> "MPoly":
-        return MPoly(self.ring, {m: c % p for m, c in self.coeffs.items()})
-
     def multidegree(self):
         degs = {self.ring.multidegree(m) for m in self.coeffs}
         if len(degs) > 1:

@@ -475,8 +475,7 @@ def _primes_from(start: int = 2):
 
 def classify(m_for_prime, e, *, heldout: int = 2, max_prime: int = 101,
              enum_budget: int = DEFAULT_ENUM_BUDGET,
-             pair_budget: int = DEFAULT_PAIR_BUDGET,
-             method: str = "dp") -> Classification:
+             pair_budget: int = DEFAULT_PAIR_BUDGET) -> Classification:
     """Classify a quiver Grassmannian by adaptive interpolation.
 
     ``m_for_prime`` is a callable p -> Representation over F_p (the same
@@ -509,6 +508,6 @@ def classify(m_for_prime, e, *, heldout: int = 2, max_prime: int = 101,
         top_count=int(poly.leading) if poly.leading.denominator == 1 else 0,
         polynomial=poly,
         consistent=consistent,
-        method=method,
+        method="dp",
         counts=counts,
     )

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .catalog import Catalog, CatalogError, Isoclass
+from .catalog import Catalog, Isoclass
 from .reps import is_rigid
 
 
@@ -105,11 +105,12 @@ def _interval_matrix(rep, seg) -> np.ndarray:
     rows = sum(rep.dims[w] for w in sinks)
     cols = sum(rep.dims[v] for v in sources)
     mat = np.zeros((rows, cols), dtype=np.int64)
+    paths = {(p.source, p.target): p for p in q.paths()}
     r0 = 0
     for w in sinks:
         c0 = 0
         for v in sources:
-            path = q.path_between(v, w)
+            path = paths.get((v, w))
             if path is not None and all(x in inside for x in
                                         [q.source(a) for a in path.arrows] +
                                         [q.target(a) for a in path.arrows]):

@@ -177,13 +177,6 @@ class Quiver:
         out.sort(key=lambda p: (len(p), p.arrows))
         return out
 
-    def path_between(self, i: int, j: int) -> Path | None:
-        """The directed path from internal vertex i to j, if one exists."""
-        for p in self.paths():
-            if p.source == i and p.target == j:
-                return p
-        return None
-
     def path_order(self) -> list[int]:
         """For type A: internal vertex indices along the underlying path.
 

@@ -46,7 +46,6 @@ class Representation:
 
     def path_matrix(self, path: Path) -> np.ndarray:
         """Product of arrow matrices along a directed path."""
-        q = self.quiver
         m = self.field.eye(self.dims[path.source])
         for a in path.arrows:
             m = self.field.mul(self.maps[a], m)
@@ -93,29 +92,25 @@ def simple(quiver: Quiver, field: PrimeField, vertex: int) -> Representation:
     return Representation(quiver, field, dims)
 
 
-def _paths_from(quiver: Quiver, v: int) -> list[tuple[int, ...]]:
-    """Arrow sequences of all directed paths starting at v, incl. the trivial one."""
-    out = [()]
+def _paths_by_end(quiver: Quiver, v: int) -> list[list[tuple[int, ...]]]:
+    """Arrow sequences of all directed paths starting at v (incl. the trivial
+    one), grouped by end vertex, each group in sorted order."""
+    paths = [()]
     stack = [(v, ())]
     while stack:
         cur, arrs = stack.pop()
         for a in sorted(quiver.arrows_out(cur)):
-            out.append(arrs + (a,))
+            paths.append(arrs + (a,))
             stack.append((quiver.target(a), arrs + (a,)))
-    out.sort()
-    return out
+    by_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(quiver.n)]
+    for arrs in sorted(paths):
+        by_vertex[quiver.target(arrs[-1]) if arrs else v].append(arrs)
+    return by_vertex
 
 
 def projective(quiver: Quiver, field: PrimeField, vertex: int) -> Representation:
     """The indecomposable projective P_i: basis given by paths starting at i."""
-    paths = _paths_from(quiver, vertex)
-
-    def endpoint(arrs):
-        return quiver.target(arrs[-1]) if arrs else vertex
-
-    by_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(quiver.n)]
-    for arrs in paths:
-        by_vertex[endpoint(arrs)].append(arrs)
+    by_vertex = _paths_by_end(quiver, vertex)
     dims = [len(b) for b in by_vertex]
     maps = {}
     for a, (s, t) in enumerate(quiver.arrows):
@@ -128,13 +123,19 @@ def projective(quiver: Quiver, field: PrimeField, vertex: int) -> Representation
     return Representation(quiver, field, dims, maps)
 
 
+def dual(m: Representation) -> Representation:
+    """The transpose dual D M over the opposite quiver: (DM)_a = (M_a)^T.
+
+    D swaps projectives and injectives, tops and socles, and sinks and
+    sources (arrow indices are kept, so D D M = M).
+    """
+    return Representation(m.quiver.opposite(), m.field, m.dims,
+                          [x.T for x in m.maps])
+
+
 def injective(quiver: Quiver, field: PrimeField, vertex: int) -> Representation:
-    """The indecomposable injective I_i: basis given by paths ending at i."""
-    opp = quiver.opposite()
-    popp = projective(opp, field, vertex)
-    # transport back: arrow a of quiver is arrow a of opp reversed
-    maps = {a: popp.maps[a].T for a in range(len(quiver.arrows))}
-    return Representation(quiver, field, popp.dims, maps)
+    """The indecomposable injective I_i = D P_i(Q^op): basis given by paths ending at i."""
+    return dual(projective(quiver.opposite(), field, vertex))
 
 
 def direct_sum(*reps: Representation) -> Representation:
@@ -359,13 +360,8 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism]:
     blocks = [f.zeros(m.dims[i], cover.dims[i]) for i in range(q.n)]
     offsets = [0] * q.n
     for (i, gen), summand in zip(gens, summands):
-        paths = _paths_from(q, i)
-        by_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(q.n)]
-        for arrs in paths:
-            end = q.target(arrs[-1]) if arrs else i
-            by_vertex[end].append(arrs)
-        for j in range(q.n):
-            for col, arrs in enumerate(by_vertex[j]):
+        for j, paths in enumerate(_paths_by_end(q, i)):
+            for col, arrs in enumerate(paths):
                 vec = gen
                 for a in arrs:
                     vec = f.mul(m.maps[a], vec.reshape(-1, 1)).ravel()
@@ -381,61 +377,17 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism]:
 
 
 def injective_hull(m: Representation) -> tuple[Representation, Morphism]:
-    """I(soc M) together with an embedding of M."""
-    f = m.field
-    q = m.quiver
-    s, inc = socle(m)
-    summands = []
-    functionals: list[tuple[int, np.ndarray]] = []  # (vertex, functional on M_i)
-    for i in range(q.n):
-        if s.dims[i] == 0:
-            continue
-        # extend the socle basis to a basis of M_i and take dual functionals
-        basis = inc.blocks[i]
-        full = basis
-        for e in range(m.dims[i]):
-            cand = f.zeros(m.dims[i], 1)
-            cand[e, 0] = 1
-            trial = np.concatenate([full, cand], axis=1)
-            if f.rank(trial) > full.shape[1]:
-                full = trial
-            if full.shape[1] == m.dims[i]:
-                break
-        dual = f.mat(np.array(
-            [[1 if r == c else 0 for c in range(m.dims[i])] for r in range(m.dims[i])]
-        ))
-        inv = f.solve(full, f.eye(m.dims[i]))
-        assert inv is not None
-        for k in range(s.dims[i]):
-            summands.append(injective(q, f, i))
-            functionals.append((i, inv[k]))  # k-th dual functional of the socle part
-    if not summands:
-        hull = zero_rep(q, f)
-        return hull, Morphism(m, hull, [f.zeros(0, m.dims[i]) for i in range(q.n)])
-    hull = direct_sum(*summands)
-    blocks = [f.zeros(hull.dims[i], m.dims[i]) for i in range(q.n)]
-    offsets = [0] * q.n
-    for (i, func), summand in zip(functionals, summands):
-        paths = _paths_from(q.opposite(), i)  # paths ending at i in Q
-        by_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(q.n)]
-        for arrs in paths:
-            end = q.opposite().target(arrs[-1]) if arrs else i
-            by_vertex[end].append(arrs)
-        for j in range(q.n):
-            for row, arrs in enumerate(by_vertex[j]):
-                # arrs is a path j -> i in Q (arrows reversed in opposite order)
-                comp = f.eye(m.dims[j])
-                for a in reversed(arrs):
-                    comp = f.mul(m.maps[a], comp)
-                blocks[j][offsets[j] + row] = f.mul(func.reshape(1, -1), comp).ravel()
-        for j in range(q.n):
-            offsets[j] += summand.dims[j]
-    phi = Morphism(m, hull, blocks)
-    assert phi.is_valid()
-    for i in range(q.n):
-        if f.rank(blocks[i]) != m.dims[i]:
-            raise RepError("injective hull is not injective (internal error)")
-    return hull, phi
+    """I(soc M) together with an embedding of M.
+
+    Derived by duality: the hull is D P(top DM) and the embedding is the
+    transpose of the cover DP -> DM.  The cover's surjectivity check is the
+    embedding's injectivity check, since it runs on the transposes.
+    """
+    cover, phi = projective_cover(dual(m))
+    hull = dual(cover)
+    psi = Morphism(m, hull, [b.T for b in phi.blocks])
+    assert psi.is_valid()
+    return hull, psi
 
 
 # -- reflection functors ---------------------------------------------------
@@ -443,36 +395,16 @@ def injective_hull(m: Representation) -> tuple[Representation, Morphism]:
 def reflection_functor(m: Representation, vertex: int) -> Representation:
     """BGP reflection of ``m`` at a sink or source ``vertex`` (internal index).
 
-    At a sink the new space is the kernel of the assembled map into M_k; at
-    a source it is the cokernel of the assembled map out of M_k.  The result
-    lives over the quiver with all arrows at ``vertex`` reversed.
+    At a source the new space is the cokernel of the assembled map out of
+    M_k.  A sink k of Q is a source of Q^op, so there the reflection is the
+    dual of the source reflection of DM at k (that cokernel is the transpose
+    of the sink kernel).  The source test comes first, so a one-vertex
+    quiver does not recurse.  The result lives over the quiver with all
+    arrows at ``vertex`` reversed.
     """
     q = m.quiver
     f = m.field
     k = vertex
-    new_q = q.reversed_at(q.name(k))
-    if q.is_sink(k):
-        arrows_in = sorted(q.arrows_in(k))
-        src_dims = [m.dims[q.source(a)] for a in arrows_in]
-        total = sum(src_dims)
-        assembled = f.zeros(m.dims[k], total)
-        off = 0
-        for a, d in zip(arrows_in, src_dims):
-            assembled[:, off : off + d] = m.maps[a]
-            off += d
-        ker = f.kernel_basis(assembled)
-        dims = list(m.dims)
-        dims[k] = ker.shape[1]
-        maps = {}
-        for a, (s, t) in enumerate(q.arrows):
-            if t != k:
-                maps[a] = m.maps[a]
-        off = 0
-        for a, d in zip(arrows_in, src_dims):
-            # reversed arrow k -> s(a): project the kernel to the a-block
-            maps[a] = ker[off : off + d, :]
-            off += d
-        return Representation(new_q, f, dims, maps)
     if q.is_source(k):
         arrows_out = sorted(q.arrows_out(k))
         tgt_dims = [m.dims[q.target(a)] for a in arrows_out]
@@ -496,5 +428,7 @@ def reflection_functor(m: Representation, vertex: int) -> Representation:
             inc[off : off + d, :] = f.eye(d)
             maps[a] = f.mul(proj, inc)
             off += d
-        return Representation(new_q, f, dims, maps)
+        return Representation(q.reversed_at(q.name(k)), f, dims, maps)
+    if q.is_sink(k):
+        return dual(reflection_functor(dual(m), k))
     raise QuiverError(f"vertex {q.name(k)} is neither a sink nor a source")

@@ -58,6 +58,19 @@ def test_classify_verb(capsys, arrow_file):
     assert data["dim"] == 3  # expected dimension <dim P, dim I> = 3
 
 
+def test_classify_max_prime(capsys, arrow_file):
+    out = run(capsys, "classify", "--quiver", arrow_file,
+              "--proj", "1,1", "--inj", "1,1", "--max-prime", "5")
+    assert json.loads(out)["primes"] == [2, 3, 5]
+
+
+@pytest.mark.parametrize("flag", [["--primes", "2,3,5"], ["--jobs", "2"]])
+def test_removed_flags_rejected(arrow_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--quiver", arrow_file, "--proj", "1,1", "--inj", "1,1", *flag])
+    assert exc.value.code == 2
+
+
 def test_classify_named_isoclass(capsys, arrow_file):
     out = run(capsys, "classify", "--quiver", arrow_file,
               "--proj", "1,1", "--inj", "1,1",

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from quivergrass.catalog import Isoclass, get_catalog
+from quivergrass import lab
 from quivergrass.lab import (
+    ExperimentReport,
     LabError,
     PrincipalConfig,
     check_conjecture,
@@ -15,6 +18,9 @@ from quivergrass.lab import (
 )
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass import reps
+from quivergrass.poset import build_poset
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_config_derived_data(zigzag3_cfg):
@@ -40,12 +46,29 @@ def test_config_from_file(tmp_path):
     cfile.write_text(
         f"[quiver]\nfile = {qfile}\n"
         "[principal]\nproj = 1,1,1\ninj = 1,1,1\n"
-        "[compute]\nmax_prime = 31\njobs = 2\n"
+        "[compute]\nmax_prime = 31\n"
     )
     cfg = PrincipalConfig.from_file(str(cfile))
     assert cfg.quiver == zigzag_quiver(3)
-    assert cfg.max_prime == 31 and cfg.jobs == 2
+    assert cfg.max_prime == 31
     assert cfg.d == (3, 4, 3)
+
+
+@pytest.mark.parametrize("line", ["jobs = 2", "max_primes = 31"])
+def test_config_rejects_unknown_compute_key(tmp_path, line):
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text(
+        "[quiver]\ntext = vertices: 1 2; arrow: 1 -> 2\n"
+        "[principal]\nproj = 1 1\ninj = 1 1\n"
+        f"[compute]\n{line}\n"
+    )
+    with pytest.raises(LabError, match=repr(line.split()[0])):
+        PrincipalConfig.from_file(str(cfile))
+
+
+def test_repository_config_loads():
+    cfg = PrincipalConfig.from_file(str(REPO / "configs" / "zigzag3.cfg"))
+    assert cfg.quiver == zigzag_quiver(3) and cfg.max_nodes == 2000
 
 
 def test_config_from_inline_text(tmp_path):
@@ -172,3 +195,41 @@ def test_report_dot_colors(zigzag3_report):
     dot = report_dot(zigzag3_report)
     assert dot.startswith("digraph")
     assert "palegreen" in dot and "lightblue" in dot
+
+
+def test_conjecture_a_equioriented_drops(eq_a3_cfg):
+    v = check_conjecture(eq_a3_cfg, "A")
+    assert v.holds is None
+    assert v.summary == "path relations strictly refine arrow relations on 20/35 nodes"
+    assert len(v.details["drops"]) == 20
+
+
+def test_conjecture_a_reads_the_report_poset(monkeypatch, zigzag3_cfg):
+    cfg = zigzag3_cfg
+    fresh = check_conjecture(cfg, "A")
+    stub = ExperimentReport(cfg, build_poset(cfg.catalog, cfg.d, budget=cfg.max_nodes))
+
+    def no_poset(*args, **kwargs):
+        raise AssertionError("conjecture A rebuilt the poset")
+
+    monkeypatch.setattr(lab, "build_poset", no_poset)
+    reused = check_conjecture(cfg, "A", report=stub)
+    assert reused.summary == fresh.summary
+    assert reused.details == fresh.details
+
+
+def test_conjecture_e_one_table_per_node(monkeypatch, zigzag3_cfg, zigzag3_report):
+    calls = []
+    real = lab._hilbert_dims
+
+    def counting(cfg, iso, degrees, scope):
+        calls.append(iso)
+        return real(cfg, iso, degrees, scope)
+
+    monkeypatch.setattr(lab, "_hilbert_dims", counting)
+    v = check_conjecture(zigzag3_cfg, "E", report=zigzag3_report)
+    assert len(calls) == len(zigzag3_report.poset.nodes) == 26
+    assert len(set(calls)) == 26
+    assert v.holds is True
+    assert v.summary == ("lower bound violated on 0 nodes; table equality on "
+                         "18 nodes vs |gamma2| = 18")

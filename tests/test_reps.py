@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivergrass.catalog import Isoclass, get_catalog
 from quivergrass.linalg import PrimeField
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass import reps
@@ -110,17 +111,48 @@ def test_radical_socle_top_of_projective():
     assert soc.dims == (0, 0, 1)
 
 
-def test_projective_cover_and_injective_hull():
-    q = zigzag_quiver(3)
-    rng = np.random.default_rng(3)
-    m = random_rep(q, rng)
+# the quivers of tests/conftest.py plus the D4 subspace quiver
+DUALITY_QUIVERS = [
+    zigzag_quiver(3),
+    linear_quiver(3, ">>"),
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)]),
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)]),
+    Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("quiver", DUALITY_QUIVERS)
+def test_projective_cover_and_injective_hull(quiver, seed):
+    rng = np.random.default_rng(seed)
+    m = random_rep(quiver, rng)
     cover, phi = reps.projective_cover(m)
     # surjective with projective source: cokernel vanishes
     coker, _ = reps.cokernel_rep(phi)
     assert coker.total_dim == 0
     hull, psi = reps.injective_hull(m)
+    assert psi.is_valid()
     ker, _ = reps.kernel_rep(psi)
     assert ker.total_dim == 0
+    soc, _ = reps.socle(m)
+    expect = [0] * quiver.n
+    for i in range(quiver.n):
+        inj = reps.injective(quiver, F, i)
+        for j in range(quiver.n):
+            expect[j] += soc.dims[i] * inj.dims[j]
+    assert hull.dims == tuple(expect)
+
+
+@pytest.mark.parametrize("quiver", DUALITY_QUIVERS)
+def test_dual_is_an_involution_and_gives_injectives(quiver):
+    m = random_rep(quiver, np.random.default_rng(1))
+    back = reps.dual(reps.dual(m))
+    assert back.quiver == quiver and back.dims == m.dims
+    assert all(np.array_equal(a, b) for a, b in zip(back.maps, m.maps))
+    for v in range(quiver.n):
+        i_v = reps.injective(quiver, F, v)
+        assert i_v.quiver == quiver
+        assert reps.hom_dim(m, i_v) == m.dims[v]
 
 
 def test_kernel_image_cokernel_dimensions():
@@ -146,3 +178,26 @@ def test_reflection_functor_reflects_dimensions():
     # sigma_3 (1,1,1) = (1,1, d1+... ), here (1,1, dims[1]-dims[2]) = (1,1,0)
     assert r.dims == (1, 1, 0)
     assert r.quiver == q.reversed_at(3)
+
+
+@pytest.mark.parametrize("quiver", DUALITY_QUIVERS)
+def test_reflection_round_trip_returns_the_indecomposable(quiver):
+    # BGP: for X != S_k, reflecting at k twice (sink, then source, or the
+    # other way round) gives X back up to isomorphism
+    cat = get_catalog(quiver, 5)
+    ends = [k for k in range(quiver.n) if quiver.is_sink(k) or quiver.is_source(k)]
+    assert any(quiver.is_sink(k) for k in ends) and any(quiver.is_source(k) for k in ends)
+    for k in ends:
+        for lab in cat.labels:
+            if lab == cat.simple_label(k):
+                continue
+            r = reps.reflection_functor(reps.reflection_functor(cat.models[lab], k), k)
+            assert r.quiver == quiver
+            assert cat.decompose(r) == Isoclass({lab: 1})
+
+
+def test_reflection_on_one_vertex_quiver_terminates():
+    # the only vertex is both a sink and a source
+    q = Quiver([1], [])
+    r = reps.reflection_functor(reps.simple(q, F, 0), 0)
+    assert r.quiver == q and r.dims == (0,)
