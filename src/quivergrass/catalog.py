@@ -91,13 +91,11 @@ def positive_roots(q: Quiver) -> set[tuple[int, ...]]:
     positive ones.  Independent of any module-theoretic computation.
     """
     n = q.n
-    adj = [[0] * n for _ in range(n)]
-    for s, t in q.arrows:
-        adj[s][t] = adj[t][s] = 1
+    adj = q.neighbors()
 
     def reflect(v, k):
         out = list(v)
-        out[k] = sum(adj[k][j] * v[j] for j in range(n)) - v[k]
+        out[k] = sum(v[j] for j in adj[k]) - v[k]
         return tuple(out)
 
     roots = {tuple(1 if i == k else 0 for i in range(n)) for k in range(n)}
@@ -194,13 +192,10 @@ class Catalog:
         return [1 if i == k else 0 for i in range(self.quiver.n)]
 
     def _reflect_word(self, word, v):
-        q = self.quiver
-        adj = [[0] * q.n for _ in range(q.n)]
-        for s, t in q.arrows:
-            adj[s][t] = adj[t][s] = 1
+        adj = self.quiver.neighbors()
         out = list(v)
         for k in reversed(word):
-            out[k] = sum(adj[k][j] * out[j] for j in range(q.n)) - out[k]
+            out[k] = sum(out[j] for j in adj[k]) - out[k]
         return out
 
     def _label_for(self, dims: tuple[int, ...]) -> IndecLabel:
@@ -295,23 +290,20 @@ class Catalog:
         """f[a] = dim Hom(X_a, M) for every catalog indecomposable X_a."""
         return np.array([hom_dim(self.models[lab], m) for lab in self.labels], dtype=np.int64)
 
+    def multiplicities(self, iso: Isoclass) -> np.ndarray:
+        """mult[a] = multiplicity of X_a in ``iso``."""
+        mult = np.zeros(len(self.labels), dtype=np.int64)
+        for label, k in iso.counts.items():
+            mult[self.labels.index(label)] = k
+        return mult
+
     def iso_fingerprint(self, iso: Isoclass) -> np.ndarray:
         """Fingerprint of ``realize(iso)`` by additivity; no matrices built."""
-        h = self.hom_matrix()
-        f = np.zeros(len(self.labels), dtype=np.int64)
-        for label, mult in iso.counts.items():
-            b = self.labels.index(label)
-            f += mult * h[:, b]
-        return f
+        return self.hom_matrix() @ self.multiplicities(iso)
 
     def dual_iso_fingerprint(self, iso: Isoclass) -> np.ndarray:
         """g[a] = dim Hom(M, X_a)."""
-        h = self.hom_matrix()
-        g = np.zeros(len(self.labels), dtype=np.int64)
-        for label, mult in iso.counts.items():
-            b = self.labels.index(label)
-            g += mult * h[b, :]
-        return g
+        return self.multiplicities(iso) @ self.hom_matrix()
 
     def decompose(self, m: Representation) -> Isoclass:
         """Krull-Schmidt coordinates of ``m`` via Hom fingerprints.

@@ -10,11 +10,13 @@ by block, without listing the candidate monomials.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
 from collections import Counter
 
+from .linalg import PrimeField
 from .pluecker import MPoly, PlueckerRing
 
 
@@ -31,7 +33,9 @@ def _grevlex_key(mono: tuple[int, ...]):
 
 
 class GPoly:
-    """Polynomial with F_p coefficients on dense exponent-tuple monomials."""
+    """Polynomial with F_p coefficients on dense exponent-tuple monomials.
+
+    Coefficients are Python ints reduced inline: a call per term would cost."""
 
     __slots__ = ("coeffs", "lead")
 
@@ -70,8 +74,9 @@ def _lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def normal_form(f: GPoly, basis: list[GPoly], p: int) -> GPoly:
+def normal_form(f: GPoly, basis: list[GPoly], field: PrimeField) -> GPoly:
     """Remainder of f on division by the basis (monomial order above)."""
+    p = field.p
     work = dict(f.coeffs)
     remainder: dict = {}
     while work:
@@ -83,7 +88,7 @@ def normal_form(f: GPoly, basis: list[GPoly], p: int) -> GPoly:
         for g in basis:
             if g.lead is not None and _divides(g.lead, m):
                 shift = _mono_div(m, g.lead)
-                factor = (c * pow(g.coeffs[g.lead], p - 2, p)) % p
+                factor = (c * field.inv_scalar(g.coeffs[g.lead])) % p
                 for gm, gc in g.coeffs.items():
                     key = _mono_mul(gm, shift)
                     val = (work.get(key, 0) - factor * gc) % p
@@ -98,7 +103,7 @@ def normal_form(f: GPoly, basis: list[GPoly], p: int) -> GPoly:
     return GPoly(remainder, p)
 
 
-def buchberger(gens: list[GPoly], p: int, *, max_degree: int | None = None,
+def buchberger(gens: list[GPoly], field: PrimeField, *, max_degree: int | None = None,
                pair_budget: int = DEFAULT_PAIR_BUDGET) -> list[GPoly]:
     """A reduced Gröbner basis; with ``max_degree`` set, a degree-truncated
     basis whose leading terms are correct in all total degrees <= max_degree.
@@ -106,8 +111,7 @@ def buchberger(gens: list[GPoly], p: int, *, max_degree: int | None = None,
     S-pairs are processed in increasing lcm degree so truncation is sound.
     Raises GroebnerError when the pair budget is exhausted.
     """
-    import heapq
-
+    p = field.p
     basis = [g for g in gens if g]
     heap = [
         (sum(_lcm(basis[i].lead, basis[j].lead)), i, j)
@@ -127,8 +131,8 @@ def buchberger(gens: list[GPoly], p: int, *, max_degree: int | None = None,
             continue
         if lcm == _mono_mul(gi.lead, gj.lead):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        ci = pow(gi.coeffs[gi.lead], p - 2, p)
-        cj = pow(gj.coeffs[gj.lead], p - 2, p)
+        ci = field.inv_scalar(gi.coeffs[gi.lead])
+        cj = field.inv_scalar(gj.coeffs[gj.lead])
         s: dict = {}
         for m, c in gi.coeffs.items():
             key = _mono_mul(m, _mono_div(lcm, gi.lead))
@@ -136,17 +140,17 @@ def buchberger(gens: list[GPoly], p: int, *, max_degree: int | None = None,
         for m, c in gj.coeffs.items():
             key = _mono_mul(m, _mono_div(lcm, gj.lead))
             s[key] = (s.get(key, 0) - c * cj) % p
-        rem = normal_form(GPoly(s, p), basis, p)
+        rem = normal_form(GPoly(s, p), basis, field)
         if rem:
             k = len(basis)
             basis.append(rem)
             for t in range(k):
                 heapq.heappush(
                     heap, (sum(_lcm(rem.lead, basis[t].lead)), k, t))
-    return interreduce(basis, p)
+    return interreduce(basis, field)
 
 
-def interreduce(basis: list[GPoly], p: int) -> list[GPoly]:
+def interreduce(basis: list[GPoly], field: PrimeField) -> list[GPoly]:
     """Monic, mutually reduced basis (unique for a fixed monomial order)."""
     # drop redundant leading terms
     kept: list[GPoly] = []
@@ -156,10 +160,10 @@ def interreduce(basis: list[GPoly], p: int) -> list[GPoly]:
     out = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        r = normal_form(g, others, p)
+        r = normal_form(g, others, field)
         if r:
-            inv = pow(r.coeffs[r.lead], p - 2, p)
-            out.append(GPoly({m: c * inv for m, c in r.coeffs.items()}, p))
+            inv = field.inv_scalar(r.coeffs[r.lead])
+            out.append(GPoly({m: c * inv for m, c in r.coeffs.items()}, field.p))
     out.sort(key=lambda g: _grevlex_key(g.lead))
     return out
 
@@ -168,7 +172,7 @@ def groebner_basis(ring: PlueckerRing, gens: list[MPoly], p: int, *,
                    max_degree: int | None = None,
                    pair_budget: int = DEFAULT_PAIR_BUDGET) -> list[GPoly]:
     nvars = len(ring)
-    return buchberger([GPoly.from_mpoly(g, nvars, p) for g in gens], p,
+    return buchberger([GPoly.from_mpoly(g, nvars, p) for g in gens], PrimeField(p),
                       max_degree=max_degree, pair_budget=pair_budget)
 
 

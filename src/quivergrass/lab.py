@@ -15,6 +15,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 
 from .catalog import Catalog, Isoclass, IndecLabel, get_catalog
 from .groebner import GroebnerError, hilbert_table
@@ -34,7 +35,11 @@ class LabError(ValueError):
     pass
 
 
-_COMPUTE_KEYS = ("catalog_prime", "max_prime", "max_nodes", "enum_budget", "pair_budget")
+_CONFIG_KEYS = {
+    "quiver": ("file", "text"),
+    "principal": ("proj", "inj"),
+    "compute": ("catalog_prime", "max_prime", "max_nodes", "enum_budget", "pair_budget"),
+}
 
 
 class PrincipalConfig:
@@ -80,16 +85,23 @@ class PrincipalConfig:
     def from_file(cls, path: str, **overrides) -> "PrincipalConfig":
         """Plain sectioned key-value config; see the repository examples.
 
-        Sections: [quiver] (file= or inline arrows), [principal]
-        (proj=/inj= comma lists), [compute] (catalog_prime, max_prime,
-        max_nodes, enum_budget, pair_budget; integers).  An unknown
-        [compute] key raises LabError rather than running with a default.
+        Sections: [quiver] (file= relative to the config file's directory,
+        or inline text=), [principal] (proj=/inj= comma lists), [compute]
+        (catalog_prime, max_prime, max_nodes, enum_budget, pair_budget;
+        integers).  An unknown section or key raises LabError rather than
+        running with a default.
         """
         cp = configparser.ConfigParser()
         with open(path) as fh:
             cp.read_string(fh.read())
+        for section in cp.sections():
+            if section not in _CONFIG_KEYS:
+                raise LabError(f"unknown section [{section}] in {path}")
+            for key in cp.options(section):
+                if key not in _CONFIG_KEYS[section]:
+                    raise LabError(f"unknown [{section}] key {key!r} in {path}")
         if cp.has_option("quiver", "file"):
-            with open(cp.get("quiver", "file")) as fh:
+            with open(Path(path).parent / cp.get("quiver", "file")) as fh:
                 quiver = parse_quiver(fh.read())
         elif cp.has_option("quiver", "text"):
             quiver = parse_quiver(cp.get("quiver", "text").replace(";", "\n"))
@@ -97,12 +109,7 @@ class PrincipalConfig:
             raise LabError("config needs [quiver] file= or text=")
         proj = _int_list(cp.get("principal", "proj"))
         inj = _int_list(cp.get("principal", "inj"))
-        kwargs = {}
-        if cp.has_section("compute"):
-            for key, value in cp.items("compute"):
-                if key not in _COMPUTE_KEYS:
-                    raise LabError(f"unknown [compute] key {key!r} in {path}")
-                kwargs[key] = int(value)
+        kwargs = {k: int(v) for k, v in cp.items("compute")} if cp.has_section("compute") else {}
         kwargs.update(overrides)
         return cls(quiver, proj, inj, **kwargs)
 
@@ -219,10 +226,7 @@ def split_at_deficient(cfg: PrincipalConfig) -> Isoclass:
     order = q.path_order()
     deficient = {order.index(i) + 1 for i in cfg.deficient_vertices()}
     counts: dict[IndecLabel, int] = {}
-    total = dict(cfg.proj_iso.counts)
-    for lab, mult in cfg.inj_iso.counts.items():
-        total[lab] = total.get(lab, 0) + mult
-    for lab, mult in total.items():
+    for lab, mult in (cfg.proj_iso + cfg.inj_iso).counts.items():
         i, j = _interval(lab.name)
         # cut every edge (t, t+1) incident to a deficient position
         cur = i
@@ -393,8 +397,7 @@ def _check_a(cfg: PrincipalConfig, poset: IsoclassPoset, max_multidegree: int) -
     """Probe: does adding path relations to arrow relations change any
     Hilbert value?  A strict drop means the arrow ideal alone is too small;
     no verdict on reducedness is implied either way."""
-    degrees = [mm for mm in itertools.product(range(max_multidegree + 1),
-                                              repeat=cfg.quiver.n)]
+    degrees = list(itertools.product(range(max_multidegree + 1), repeat=cfg.quiver.n))
     drops = []
     for iso in poset.nodes:
         arrows = _hilbert_dims(cfg, iso, degrees, "arrows")
@@ -470,8 +473,7 @@ def _check_e(cfg: PrincipalConfig, report: ExperimentReport,
              max_multidegree: int) -> Verdict:
     """dim Pl_m(M) >= dim Pl_m(M0) everywhere, with equality at every m
     exactly on the minimal-dimension locus."""
-    degrees = [mm for mm in itertools.product(range(max_multidegree + 1),
-                                              repeat=cfg.quiver.n)]
+    degrees = list(itertools.product(range(max_multidegree + 1), repeat=cfg.quiver.n))
     generic = generic_isoclass(cfg.catalog, cfg.d, budget=cfg.max_nodes)
     tables = {iso: _hilbert_dims(cfg, iso, degrees, "arrows") for iso in report.poset.nodes}
     base = tables[generic]

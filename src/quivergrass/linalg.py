@@ -1,11 +1,16 @@
 """Exact dense linear algebra over prime fields F_p.
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Since p < 2^16,
-products of two entries fit comfortably in int64 and all arithmetic is exact.
-Big integers appear only in subspace counts (:func:`gaussian_binomial`).
+:class:`PrimeField` is the one arithmetic boundary: it decides how elements
+are stored (the ``dtype`` of bulk element arrays, the ``dot_dtype`` of
+accumulated products), reduces arrays mod p and inverts through one table
+per prime.  Matrices are numpy int64 arrays with entries reduced mod p;
+since p < 2^16, products of two entries fit in int64 and all arithmetic is
+exact.  Big integers appear only in subspace counts (:func:`gaussian_binomial`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,6 +34,13 @@ def is_prime(p: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    table = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 class PrimeField:
     """The field F_p for a prime 2 <= p < 2^16."""
 
@@ -39,6 +51,10 @@ class PrimeField:
         if not is_prime(p):
             raise LinalgError(f"modulus {p} is not prime")
         self.p = p
+        # smallest signed integer type holding every element
+        self.dtype = np.int8 if p < 2**7 else np.int16 if p < 2**15 else np.int32
+        # read-only, one per prime: inverses[x] * x == 1 for x != 0, inverses[0] == 0
+        self.inverses = _inverse_table(p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -49,8 +65,17 @@ class PrimeField:
     def __repr__(self):
         return f"F({self.p})"
 
+    def dot_dtype(self, terms: int):
+        """Integer type holding an element minus a sum of ``terms`` products
+        of two elements, so that one reduction after the sum is exact."""
+        return np.int32 if (terms + 1) * (self.p - 1) ** 2 < 2**31 else np.int64
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """Entries mod p (same integer type)."""
+        return a % self.p
+
     def mat(self, data) -> np.ndarray:
-        a = np.asarray(data, dtype=np.int64) % self.p
+        a = self.reduce(np.asarray(data, dtype=np.int64))
         if a.ndim != 2:
             raise LinalgError("expected a 2d array")
         return a
@@ -62,42 +87,49 @@ class PrimeField:
         return np.eye(n, dtype=np.int64)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a @ b) % self.p
+        return self.reduce(a @ b)
 
     def inv_scalar(self, x: int) -> int:
-        return pow(int(x) % self.p, self.p - 2, self.p)
+        return int(self.inverses[int(x) % self.p])
 
     def lift_signed(self, a: np.ndarray) -> np.ndarray:
         """Integer lift with entries in (-p/2, p/2]."""
-        a = np.asarray(a, dtype=np.int64) % self.p
+        a = self.reduce(np.asarray(a, dtype=np.int64))
         return np.where(a > self.p // 2, a - self.p, a)
 
     # -- elimination --------------------------------------------------------
 
-    def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form and pivot column list."""
-        a = self.mat(m).copy()
+    def _eliminate(self, m: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+        """Gauss-Jordan elimination: rref, pivot columns and the product of
+        the pivots met, negated once per row swap (the determinant of a
+        square ``m`` of full rank)."""
+        a = self.mat(m)
         rows, cols = a.shape
         pivots: list[int] = []
+        det = 1
         r = 0
         for c in range(cols):
             if r == rows:
                 break
-            piv = None
-            for i in range(r, rows):
-                if a[i, c]:
-                    piv = i
-                    break
-            if piv is None:
+            nonzero = np.flatnonzero(a[r:, c])
+            if not nonzero.size:
                 continue
-            if piv != r:
+            if nonzero[0]:
+                piv = r + int(nonzero[0])
                 a[[r, piv]] = a[[piv, r]]
-            a[r] = (a[r] * self.inv_scalar(a[r, c])) % self.p
-            for i in range(rows):
-                if i != r and a[i, c]:
-                    a[i] = (a[i] - a[i, c] * a[r]) % self.p
+                det = -det
+            det = det * int(a[r, c]) % self.p
+            a[r] = self.reduce(a[r] * self.inv_scalar(a[r, c]))
+            factors = a[:, c].copy()
+            factors[r] = 0
+            a = self.reduce(a - np.outer(factors, a[r]))
             pivots.append(c)
             r += 1
+        return a, pivots, det
+
+    def rref(self, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Reduced row echelon form and pivot column list."""
+        a, pivots, _ = self._eliminate(m)
         return a, pivots
 
     def rank(self, m: np.ndarray) -> int:
@@ -106,14 +138,8 @@ class PrimeField:
     def kernel_basis(self, m: np.ndarray) -> np.ndarray:
         """Columns form a basis of the right kernel of ``m``."""
         a, pivots = self.rref(m)
-        rows, cols = a.shape
-        free = [c for c in range(cols) if c not in pivots]
-        basis = self.zeros(cols, len(free))
-        for k, fc in enumerate(free):
-            basis[fc, k] = 1
-            for r, pc in enumerate(pivots):
-                basis[pc, k] = (-a[r, fc]) % self.p
-        return basis
+        free = [c for c in range(a.shape[1]) if c not in pivots]
+        return self._free_solutions(a, pivots, free).T
 
     def image_basis(self, m: np.ndarray) -> np.ndarray:
         """Columns form a basis of the column span of ``m``."""
@@ -128,7 +154,7 @@ class PrimeField:
         ``b`` may be a vector or a matrix of stacked right-hand columns.
         """
         a = self.mat(a)
-        b = np.asarray(b, dtype=np.int64) % self.p
+        b = self.reduce(np.asarray(b, dtype=np.int64))
         vec = b.ndim == 1
         if vec:
             b = b.reshape(-1, 1)
@@ -151,46 +177,34 @@ class PrimeField:
         the projection kills U and is the identity on those coordinates.
         """
         u = self.mat(u)
-        dim = u.shape[0]
         red, pivots = self.rref(u.T)
-        free = [c for c in range(dim) if c not in pivots]
-        proj = self.zeros(len(free), dim)
+        free = [c for c in range(u.shape[0]) if c not in pivots]
+        return self._free_solutions(red, pivots, free)
+
+    def _free_solutions(self, red: np.ndarray, pivots: list[int], free: list[int]) -> np.ndarray:
+        """Row k: the solution of rref ``red`` with free coordinate free[k]
+        set to 1 and the other free coordinates 0."""
+        out = self.zeros(len(free), red.shape[1])
         for k, fc in enumerate(free):
-            proj[k, fc] = 1
+            out[k, fc] = 1
             for r, pc in enumerate(pivots):
-                proj[k, pc] = (-red[r, fc]) % self.p
-        return proj
+                out[k, pc] = (-red[r, fc]) % self.p
+        return out
 
     def det(self, m: np.ndarray) -> int:
         """Determinant of a square matrix in F_p."""
-        a = self.mat(m).copy()
-        n, ncols = a.shape
-        if n != ncols:
+        a = self.mat(m)
+        if a.shape[0] != a.shape[1]:
             raise LinalgError("determinant of a non-square matrix")
-        det = 1
-        for c in range(n):
-            piv = None
-            for i in range(c, n):
-                if a[i, c]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != c:
-                a[[c, piv]] = a[[piv, c]]
-                det = -det
-            det = (det * a[c, c]) % self.p
-            inv = self.inv_scalar(a[c, c])
-            for i in range(c + 1, n):
-                if a[i, c]:
-                    a[i] = (a[i] - a[i, c] * inv * a[c]) % self.p
-        return det % self.p
+        _, pivots, det = self._eliminate(a)
+        return det if len(pivots) == a.shape[0] else 0
 
     # -- batched elimination (used by the point-counting DP) ----------------
 
     def batched_rank(self, mats: np.ndarray) -> np.ndarray:
-        """Ranks of a (B, m, n) stack of matrices, vectorized over B."""
-        a = (np.asarray(mats, dtype=np.int64) % self.p).copy()
+        """Ranks of a (B, m, n) stack of integer matrices (reduced here),
+        vectorized over B."""
+        a = self.reduce(np.asarray(mats, dtype=np.int64))
         if a.ndim != 3:
             raise LinalgError("expected a 3d stack")
         bsz, rows, cols = a.shape
@@ -198,34 +212,23 @@ class PrimeField:
             return np.zeros(0, dtype=np.int64)
         r = np.zeros(bsz, dtype=np.int64)  # current pivot row per matrix
         idx = np.arange(bsz)
-        inv_table = np.array([0] + [pow(x, self.p - 2, self.p) for x in range(1, self.p)],
-                             dtype=np.int64)
+        rowpos = np.arange(rows)[None, :]
         for c in range(cols):
-            col = a[:, :, c]
-            rowpos = np.arange(rows)[None, :]
-            eligible = (rowpos >= r[:, None]) & (col != 0)
+            eligible = (rowpos >= r[:, None]) & (a[:, :, c] != 0)
             has = eligible.any(axis=1)
             if not has.any():
                 continue
             piv = np.where(eligible, rowpos, rows).min(axis=1)
-            sel = has
-            bi = idx[sel]
-            pr = piv[sel]
-            rr = r[sel]
-            # swap pivot row into position rr
-            tmp = a[bi, pr].copy()
-            a[bi, pr] = a[bi, rr]
-            a[bi, rr] = tmp
+            bi, pr, rr = idx[has], piv[has], r[has]
+            # swap pivot row into position rr (the right side is a copy)
+            a[bi, pr], a[bi, rr] = a[bi, rr], a[bi, pr]
             # scale pivot row to 1
-            inv = inv_table[a[bi, rr, c]]
-            a[bi, rr] = (a[bi, rr] * inv[:, None]) % self.p
+            inv = self.inverses[a[bi, rr, c]]
+            a[bi, rr] = self.reduce(a[bi, rr] * inv[:, None])
             # eliminate below
-            factors = a[bi, :, c].copy()
-            factors[np.arange(len(bi)), rr] = 0
-            below = (np.arange(rows)[None, :] > rr[:, None])
-            factors = np.where(below, factors, 0)
-            a[bi] = (a[bi] - factors[:, :, None] * a[bi, rr][:, None, :]) % self.p
-            r[sel] += 1
+            factors = np.where(rowpos > rr[:, None], a[bi, :, c], 0)
+            a[bi] = self.reduce(a[bi] - factors[:, :, None] * a[bi, rr][:, None, :])
+            r[has] += 1
         return r
 
 

@@ -143,7 +143,8 @@ class MPoly:
         return next(iter(degs)) if degs else None
 
     def evaluate(self, coords, field: PrimeField) -> int:
-        """Value mod p given per-variable coordinate values."""
+        """Value mod p given per-variable coordinate values (reduced term by
+        term inline, like the Gröbner coefficients)."""
         p = field.p
         total = 0
         for m, c in self.coeffs.items():
@@ -169,13 +170,13 @@ class MPoly:
         return "".join(parts)
 
 
-def _normalized(poly: MPoly, p: int) -> tuple | None:
+def _normalized(poly: MPoly, field: PrimeField) -> tuple | None:
     """Canonical monic-mod-p form used to deduplicate scalar multiples."""
+    p = field.p
     items = sorted((m, c % p) for m, c in poly.coeffs.items() if c % p)
     if not items:
         return None
-    lead = items[0][1]
-    inv = pow(lead, p - 2, p)
+    inv = field.inv_scalar(items[0][1])
     return tuple((m, (c * inv) % p) for m, c in items)
 
 
@@ -203,7 +204,9 @@ def grassmann_relations(ring: PlueckerRing, vertex: int) -> list[MPoly]:
                 ins = sum(1 for x in i_set if x > q)
                 sign = (-1) ** (pos + ins)
                 poly = poly + MPoly.term(ring, sign, (v1, v2))
-            key = _normalized(poly, 2**31 - 1)
+            # g and -g share a key: scale by the first coefficient (+-1)
+            items = sorted(poly.coeffs.items())
+            key = tuple((m, c * items[0][1]) for m, c in items) if items else None
             if key and key not in seen:
                 seen.add(key)
                 out.append(poly)
@@ -280,11 +283,10 @@ def ideal(m: Representation, e, *, scope: str = "arrows") -> tuple[PlueckerRing,
         gens.extend(path_relations(ring, m))
     else:
         raise PlueckerError(f"unknown scope {scope!r}")
-    p = m.field.p
     seen = set()
     unique = []
     for g in gens:
-        key = _normalized(g, p)
+        key = _normalized(g, m.field)
         if key is None or key in seen:
             continue
         seen.add(key)

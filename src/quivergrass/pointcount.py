@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PrimeField, gaussian_binomial
+from .linalg import PrimeField, gaussian_binomial, is_prime
 from .quiver import Quiver
 from .reps import Representation
 
@@ -29,27 +29,29 @@ class CountError(ValueError):
 DEFAULT_ENUM_BUDGET = 6_000_000
 DEFAULT_PAIR_BUDGET = 30_000_000
 BRUTE_BUDGET = 10_000_000
+HELDOUT = 2  # spare interpolation nodes a consistent polynomial must fit
 _CHUNK = 200_000
 
 
 class SubspaceEnum:
     """All e-dimensional subspaces of F_p^d as canonical rref bases.
 
-    ``bases`` has shape (N, e, d); each subspace appears exactly once.
+    ``bases`` has shape (N, e, d) and the field's element type; each
+    subspace appears exactly once.
     Rows are grouped into contiguous blocks sharing one pivot-column
     pattern (``blocks`` lists (start, stop, pivots)), which downstream rank
     computations exploit: the basis rows are already in echelon form.
     """
 
-    def __init__(self, e: int, d: int, p: int, *, budget: int = DEFAULT_ENUM_BUDGET):
+    def __init__(self, e: int, d: int, field: PrimeField, *, budget: int = DEFAULT_ENUM_BUDGET):
         if not (0 <= e <= d):
             raise CountError(f"subspace dimension {e} out of range for ambient {d}")
-        self.e, self.d, self.p = e, d, p
+        p = field.p
+        self.e, self.d = e, d
         total = gaussian_binomial(d, e, p)
         if total > budget:
             raise CountError(f"enumeration budget exceeded: {total} subspaces of Gr({e},{d}) at p={p}")
         self.size = int(total)
-        dtype = np.int8 if p < 128 else np.int16
         chunks = []
         self.blocks: list[tuple[int, int, tuple[int, ...]]] = []
         pos = 0
@@ -61,18 +63,18 @@ class SubspaceEnum:
                 if j not in pivots
             ]
             count = p ** len(free)
-            block = np.zeros((count, e, d), dtype=dtype)
+            block = np.zeros((count, e, d), dtype=field.dtype)
             for i, c in enumerate(pivots):
                 block[:, i, c] = 1
             if free:
                 digits = np.arange(count)
-                for k, (i, j) in enumerate(free):
+                for k, (i, j) in enumerate(free):  # base-p digits
                     block[:, i, j] = (digits // p**k) % p
             chunks.append(block)
             self.blocks.append((pos, pos + count, pivots))
             pos += count
         self.bases = (
-            np.concatenate(chunks, axis=0) if chunks else np.zeros((1, 0, d), dtype=dtype)
+            np.concatenate(chunks, axis=0) if chunks else np.zeros((1, 0, d), dtype=field.dtype)
         )
         if not chunks:
             self.blocks = [(0, 1, ())]
@@ -80,12 +82,13 @@ class SubspaceEnum:
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_enum(e: int, d: int, p: int, budget: int) -> SubspaceEnum:
-    return SubspaceEnum(e, d, p, budget=budget)
+def _cached_enum(e: int, d: int, field: PrimeField, budget: int) -> SubspaceEnum:
+    return SubspaceEnum(e, d, field, budget=budget)
 
 
-def enumerate_subspaces(e: int, d: int, p: int, *, budget: int = DEFAULT_ENUM_BUDGET) -> SubspaceEnum:
-    return _cached_enum(e, d, p, budget)
+def enumerate_subspaces(e: int, d: int, field: PrimeField, *,
+                        budget: int = DEFAULT_ENUM_BUDGET) -> SubspaceEnum:
+    return _cached_enum(e, d, field, budget)
 
 
 def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.ndarray:
@@ -95,15 +98,13 @@ def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.n
     rows of each basis costs one small matrix product per block, and the
     leftover rank is computed on the non-pivot columns only.
     """
-    p = f.p
     k, d = w.shape
     e = en.e
     out = np.empty(en.size, dtype=np.int64)
     if k == 0 or e == d:
         out[:] = e
         return out
-    # products of two entries plus a length-e sum must not overflow
-    dtype = np.int32 if p < 10_000 else np.int64
+    dtype = f.dot_dtype(e)
     w = w.astype(dtype)
     for start, stop, pivots in en.blocks:
         nonpiv = [c for c in range(d) if c not in pivots]
@@ -114,11 +115,11 @@ def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.n
             # the pivot columns of an rref basis form the identity, so only
             # the non-pivot columns of the reduced rows can be nonzero
             b = en.bases[lo:hi, :, :][:, :, nonpiv].astype(dtype)
-            rest = (w_rest[None, :, :] - np.einsum("ke,nef->nkf", w_piv, b)) % p
+            rest = f.reduce(w_rest[None, :, :] - np.einsum("ke,nef->nkf", w_piv, b))
             if rest.shape[2] == 1:
                 out[lo:hi] = e + (rest[:, :, 0] != 0).any(axis=1)
             else:
-                out[lo:hi] = e + f.batched_rank(rest.astype(np.int64))
+                out[lo:hi] = e + f.batched_rank(rest)
     return out
 
 
@@ -144,8 +145,7 @@ class _Coded:
 
     def to_object(self) -> np.ndarray:
         table = np.empty(len(self.values), dtype=object)
-        for i, v in enumerate(self.values):
-            table[i] = v
+        table[:] = self.values
         return table[self.codes]
 
     @staticmethod
@@ -176,17 +176,25 @@ class _Coded:
         return out
 
 
+def _field_of(m: Representation, p: int) -> PrimeField:
+    """The field of ``m``, which must be F_p."""
+    if p != m.field.p:
+        raise CountError(f"count at p={p} of a representation over F_{m.field.p}")
+    return m.field
+
+
 def count_points(m: Representation, e, p: int, *,
                  enum_budget: int = DEFAULT_ENUM_BUDGET,
                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """|Gr_e(M)(F_p)|: tuples of subspaces U_i with M_a(U_{s(a)}) in U_{t(a)}."""
+    """|Gr_e(M)(F_p)|: tuples of subspaces U_i with M_a(U_{s(a)}) in U_{t(a)}.
+
+    ``p`` must be the prime of ``m.field``."""
     q = m.quiver
     e = q.check_dimvector(e)
     for i in range(q.n):
         if e[i] > m.dims[i]:
             raise CountError(f"e_{i} exceeds d_{i}")
-    f = PrimeField(p)
-    maps = [np.asarray(mat, dtype=np.int64) % p for mat in m.maps]
+    f = _field_of(m, p)
     gauss = _gauss_table(p, max(m.dims, default=0))
     adj = q.neighbors()
 
@@ -196,7 +204,7 @@ def count_points(m: Representation, e, p: int, *,
     root = _choose_root(q, m.dims, e, p)
 
     def enum(v: int) -> SubspaceEnum:
-        return enumerate_subspaces(e[v], m.dims[v], p, budget=enum_budget)
+        return enumerate_subspaces(e[v], m.dims[v], f, budget=enum_budget)
 
     def closed_message(child: int, v: int) -> _Coded:
         """Message of an unweighted leaf ``child`` into ``v``, per U_v."""
@@ -204,22 +212,18 @@ def count_points(m: Representation, e, p: int, *,
         ev = enum(v)
         if q.source(a) == child:  # arrow child -> v, map A: M_child -> M_v
             # dim of the preimage of U under A, then count subspaces inside
-            dim_sum = _sum_dims_with_fixed(ev, maps[a].T, f)
+            dim_sum = _sum_dims_with_fixed(ev, m.maps[a].T, f)
             dpre = m.dims[child] - dim_sum + e[v]
             values = [gauss[n][e[child]] if 0 <= n <= m.dims[child] else 0
                       for n in range(m.dims[child] + 1)]
             return _Coded(dpre, values)
         # arrow v -> child, map B: M_v -> M_c: count U_c containing B(U_v)
-        B = maps[a]
-        if e[v] == 0:
-            r = np.zeros(ev.size, dtype=np.int64)
-        else:
-            r = np.empty(ev.size, dtype=np.int64)
-            for lo in range(0, ev.size, _CHUNK):
-                hi = min(lo + _CHUNK, ev.size)
-                bu = ev.bases[lo:hi].astype(np.int64)
-                prod = np.einsum("nij,kj->nik", bu, B) % p
-                r[lo:hi] = f.batched_rank(prod)
+        B = m.maps[a]
+        r = np.empty(ev.size, dtype=np.int64)
+        for lo in range(0, ev.size, _CHUNK):
+            hi = min(lo + _CHUNK, ev.size)
+            bu = ev.bases[lo:hi].astype(np.int64)
+            r[lo:hi] = f.batched_rank(np.einsum("nij,kj->nik", bu, B))  # reduces its input
         dc, ec = m.dims[child], e[child]
         values = [gauss[dc - rr][ec - rr] if rr <= ec else 0
                   for rr in range(min(e[v], dc) + 1)]
@@ -236,15 +240,17 @@ def count_points(m: Representation, e, p: int, *,
             )
         out = np.zeros(ev.size, dtype=object)
         bc = ec.bases.astype(np.int64)
+        into_v = q.source(a) == child
+        if into_v:
+            img_c = f.mul(bc, m.maps[a].T)  # (Nc, e_c, d_v), the same for every chunk
         step = max(1, _CHUNK // max(1, ec.size))
         for lo in range(0, ev.size, step):
             hi = min(lo + step, ev.size)
             bv = ev.bases[lo:hi].astype(np.int64)
-            if q.source(a) == child:
-                img = (bc @ maps[a].T) % p  # (Nc, e_c, d_v)
-                comp = _containment(f, img, bv, e[v])
+            if into_v:
+                comp = _containment(f, img_c, bv, e[v])
             else:
-                img = (bv @ maps[a].T) % p  # (chunk, e_v, d_child)
+                img = f.mul(bv, m.maps[a].T)  # (chunk, e_v, d_child)
                 comp = _containment(f, img, bc, e[child]).T
             # comp[x, y]: U_c[y] compatible with U_v[lo + x]
             for x in range(hi - lo):
@@ -325,23 +331,24 @@ def _choose_root(q: Quiver, d, e, p: int) -> int:
 
 
 def brute_force_count(m: Representation, e, p: int, *, budget: int = BRUTE_BUDGET) -> int:
-    """Ground-truth oracle: full product enumeration with containment checks."""
+    """Ground-truth oracle: full product enumeration with containment checks.
+
+    ``p`` must be the prime of ``m.field``."""
     q = m.quiver
     e = q.check_dimvector(e)
-    f = PrimeField(p)
-    enums = [SubspaceEnum(e[i], m.dims[i], p) for i in range(q.n)]
+    f = _field_of(m, p)
+    enums = [SubspaceEnum(e[i], m.dims[i], f) for i in range(q.n)]
     total = 1
     for en in enums:
         total *= en.size
     if total > budget:
         raise CountError(f"brute-force budget exceeded: {total} tuples")
-    maps = [np.asarray(mat, dtype=np.int64) % p for mat in m.maps]
     # per-arrow compatibility tables from unvectorized membership solves
     comp = []
     for a, (s, t) in enumerate(q.arrows):
         table = np.zeros((enums[s].size, enums[t].size), dtype=bool)
         for i in range(enums[s].size):
-            img = (maps[a] @ enums[s].bases[i].astype(np.int64).T) % p
+            img = f.mul(m.maps[a], enums[s].bases[i].astype(np.int64).T)
             for j in range(enums[t].size):
                 basis_t = enums[t].bases[j].astype(np.int64).T
                 table[i, j] = f.solve(basis_t, img) is not None
@@ -396,11 +403,11 @@ class CountingPolynomial:
         return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
-def interpolate(nodes, *, heldout: int = 2) -> tuple[CountingPolynomial, bool]:
+def interpolate(nodes) -> tuple[CountingPolynomial, bool]:
     """Newton interpolation through (p, count) nodes over exact rationals.
 
     Returns (polynomial, consistent).  ``consistent`` requires at least
-    ``heldout`` effective spare nodes (vanishing top divided differences),
+    ``HELDOUT`` effective spare nodes (vanishing top divided differences),
     integer coefficients and a positive integer leading coefficient.
     """
     pts = [(Fraction(p), Fraction(c)) for p, c in nodes]
@@ -429,7 +436,7 @@ def interpolate(nodes, *, heldout: int = 2) -> tuple[CountingPolynomial, bool]:
     poly = CountingPolynomial(tuple(coeffs))
     spare = len(pts) - (deg + 1)
     consistent = (
-        spare >= heldout
+        spare >= HELDOUT
         and poly.is_integral()
         and poly.leading > 0
         and poly.leading.denominator == 1
@@ -464,8 +471,6 @@ class Classification:
 
 
 def _primes_from(start: int = 2):
-    from .linalg import is_prime
-
     p = start
     while True:
         if is_prime(p):
@@ -473,7 +478,7 @@ def _primes_from(start: int = 2):
         p += 1
 
 
-def classify(m_for_prime, e, *, heldout: int = 2, max_prime: int = 101,
+def classify(m_for_prime, e, *, max_prime: int = 101,
              enum_budget: int = DEFAULT_ENUM_BUDGET,
              pair_budget: int = DEFAULT_PAIR_BUDGET) -> Classification:
     """Classify a quiver Grassmannian by adaptive interpolation.
@@ -495,12 +500,12 @@ def classify(m_for_prime, e, *, heldout: int = 2, max_prime: int = 101,
             ev = m.quiver.check_dimvector(e)
             ambient = sum(x * (y - x) for x, y in zip(ev, d))
         counts[p] = count_points(m, e, p, enum_budget=enum_budget, pair_budget=pair_budget)
-        if len(counts) >= heldout + 1:
-            poly, consistent = interpolate(sorted(counts.items()), heldout=heldout)
+        if len(counts) >= HELDOUT + 1:
+            poly, consistent = interpolate(sorted(counts.items()))
             if consistent and poly.degree <= ambient:
                 break
     if poly is None:
-        poly, consistent = interpolate(sorted(counts.items()), heldout=heldout)
+        poly, consistent = interpolate(sorted(counts.items()))
     if ambient is not None and poly.degree > ambient:
         consistent = False
     return Classification(

@@ -136,12 +136,8 @@ def generic_isoclass(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) -> I
 
 
 def _iso_end_dim(cat: Catalog, iso: Isoclass) -> int:
-    h = cat.hom_matrix()
-    labs = list(iso.counts)
-    idx = [cat.labels.index(lab) for lab in labs]
-    mult = np.array([iso.counts[lab] for lab in labs], dtype=np.int64)
-    sub = h[np.ix_(idx, idx)]
-    return int(mult @ sub @ mult)
+    mult = cat.multiplicities(iso)
+    return int(mult @ cat.hom_matrix() @ mult)
 
 
 class IsoclassPoset:

@@ -164,10 +164,10 @@ def _hom_system(m: Representation, n: Representation) -> np.ndarray:
     """Coefficient matrix of the commuting-square system.
 
     Unknowns: vec(phi_i) for all vertices (column-major per vertex block).
-    One row block per arrow: N_a phi_s - phi_t M_a = 0.
+    One row block per arrow: N_a phi_s - phi_t M_a = 0.  Entries are
+    integer lifts; the field's elimination reduces them.
     """
     q = m.quiver
-    f = m.field
     offsets = []
     off = 0
     for i in range(q.n):
@@ -189,7 +189,7 @@ def _hom_system(m: Representation, n: Representation) -> np.ndarray:
                 row[:, offsets[t] : offsets[t] + m.dims[t] * n.dims[t]] -= np.kron(
                     m.maps[a].T, np.eye(n.dims[t], dtype=np.int64)
                 )
-        blocks.append(row % f.p)
+        blocks.append(row)
     if not blocks:
         return np.zeros((0, ncols), dtype=np.int64)
     return np.concatenate(blocks, axis=0)
@@ -407,26 +407,16 @@ def reflection_functor(m: Representation, vertex: int) -> Representation:
     k = vertex
     if q.is_source(k):
         arrows_out = sorted(q.arrows_out(k))
-        tgt_dims = [m.dims[q.target(a)] for a in arrows_out]
-        total = sum(tgt_dims)
-        assembled = f.zeros(total, m.dims[k])
-        off = 0
-        for a, d in zip(arrows_out, tgt_dims):
-            assembled[off : off + d, :] = m.maps[a]
-            off += d
+        assembled = np.concatenate([m.maps[a] for a in arrows_out] + [f.zeros(0, m.dims[k])])
         proj = f.quotient_projection(f.image_basis(assembled))
         dims = list(m.dims)
         dims[k] = proj.shape[0]
-        maps = {}
-        for a, (s, t) in enumerate(q.arrows):
-            if s != k:
-                maps[a] = m.maps[a]
+        maps = {a: m.maps[a] for a, (s, _) in enumerate(q.arrows) if s != k}
         off = 0
-        for a, d in zip(arrows_out, tgt_dims):
-            # reversed arrow t(a) -> k: include the block, then project
-            inc = f.zeros(total, d)
-            inc[off : off + d, :] = f.eye(d)
-            maps[a] = f.mul(proj, inc)
+        for a in arrows_out:
+            # reversed arrow t(a) -> k: the projection restricted to a's block
+            d = m.dims[q.target(a)]
+            maps[a] = proj[:, off : off + d]
             off += d
         return Representation(q.reversed_at(q.name(k)), f, dims, maps)
     if q.is_sink(k):

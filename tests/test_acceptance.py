@@ -261,7 +261,7 @@ def test_criterion_14_property_suites(zigzag3_report, eq_a3_report,
     e = (1, 1, 1)
     ring, gens = ideal(m, e, scope="paths")
     f = PrimeField(p)
-    enums = [enumerate_subspaces(e[v], m.dims[v], p) for v in range(3)]
+    enums = [enumerate_subspaces(e[v], m.dims[v], f) for v in range(3)]
     for choice in itertools.product(*[range(en.bases.shape[0]) for en in enums]):
         bases = [f.mat(np.asarray(enums[v].bases[choice[v]], dtype=np.int64))
                  for v in range(3)]

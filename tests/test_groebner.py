@@ -80,14 +80,15 @@ def test_normal_form_reduces_members_to_zero():
     p = 7
     g1 = gp({(2, 0): 1, (0, 1): p - 1}, p)
     g2 = gp({(0, 2): 1, (1, 0): p - 1}, p)
-    basis = interreduce(buchberger([g1, g2], p), p)
+    f = PrimeField(p)
+    basis = interreduce(buchberger([g1, g2], f), f)
     member = gp({(4, 0): 1, (1, 0): p - 1}, p)  # x^4 - x = (x^2+y)(x^2-y) + (y^2-x)
-    assert not normal_form(member, basis, p)
+    assert not normal_form(member, basis, f)
 
 
 def test_normal_form_of_zero():
     p = 5
-    assert not normal_form(gp({}, p), [gp({(1,): 1}, p)], p)
+    assert not normal_form(gp({}, p), [gp({(1,): 1}, p)], PrimeField(p))
 
 
 def test_groebner_reduced_basis_unique_under_shuffle():
@@ -121,11 +122,12 @@ def test_sq_polynomial_criterion():
         gp({mono(y=1, w=1): 1, mono(z=2): p - 1}, p),
         gp({mono(x=1, w=1): 1, mono(y=1, z=1): p - 1}, p),
     ]
-    basis = interreduce(buchberger(gens, p), p)
+    f = PrimeField(p)
+    basis = interreduce(buchberger(gens, f), f)
     # the cone over the twisted cubic has Krull dimension 2
     assert krull_dimension(basis, 4) == 2
     for g in gens:
-        assert not normal_form(g, basis, p)
+        assert not normal_form(g, basis, f)
 
 
 def test_krull_dimension_monomial_cases():
@@ -242,4 +244,4 @@ def test_pair_budget_enforced():
         gp({(1, 0, 0, 1): 1, (0, 1, 1, 0): p - 1}, p),
     ]
     with pytest.raises(GroebnerError):
-        buchberger(gens, p, pair_budget=0)
+        buchberger(gens, PrimeField(p), pair_budget=0)

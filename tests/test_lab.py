@@ -66,6 +66,34 @@ def test_config_rejects_unknown_compute_key(tmp_path, line):
         PrincipalConfig.from_file(str(cfile))
 
 
+QUIVER_A2 = "[quiver]\ntext = vertices: 1 2; arrow: 1 -> 2\n"
+PRINCIPAL_A2 = "[principal]\nproj = 1 1\ninj = 1 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    QUIVER_A2 + PRINCIPAL_A2 + "[Compute]\nmax_prime = 7\n",  # sections are case sensitive
+    QUIVER_A2 + PRINCIPAL_A2 + "[extra]\nx = 1\n",
+    QUIVER_A2 + PRINCIPAL_A2 + "prj = 1 0\n",
+    QUIVER_A2 + "files = q.txt\n" + PRINCIPAL_A2,
+], ids=["Compute", "extra", "prj", "files"])
+def test_config_rejects_unknown_section_or_key(tmp_path, text):
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text(text)
+    with pytest.raises(LabError, match="unknown"):
+        PrincipalConfig.from_file(str(cfile))
+
+
+def test_config_quiver_file_relative_to_config(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "q.txt").write_text("vertices: 1 2\narrow: 1 -> 2\n")
+    (sub / "run.cfg").write_text(
+        "[quiver]\nfile = q.txt\n[principal]\nproj = 1 1\ninj = 1 1\n")
+    monkeypatch.chdir(tmp_path)
+    cfg = PrincipalConfig.from_file("sub/run.cfg")
+    assert cfg.quiver == linear_quiver(2)
+
+
 def test_repository_config_loads():
     cfg = PrincipalConfig.from_file(str(REPO / "configs" / "zigzag3.cfg"))
     assert cfg.quiver == zigzag_quiver(3) and cfg.max_nodes == 2000

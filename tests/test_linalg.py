@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +94,16 @@ def test_det_multiplicative(seed):
     assert (f.det(a) != 0) == (f.rank(a) == n)
 
 
+def test_det_row_swaps_and_singular():
+    f = PrimeField(7)
+    assert f.det([[0, 1], [1, 0]]) == 6  # one swap: -1
+    assert f.det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == (-30) % 7
+    assert f.det([[1, 2], [2, 4]]) == 0
+    assert f.det(f.zeros(0, 0)) == 1
+    with pytest.raises(LinalgError):
+        f.det(f.zeros(2, 3))
+
+
 def test_det_leibniz_3x3():
     f = PrimeField(107)
     rng = np.random.default_rng(7)
@@ -143,3 +156,25 @@ def test_gaussian_binomial_pascal(n, k, q):
         lhs = gaussian_binomial(n, k, q)
         rhs = gaussian_binomial(n - 1, k - 1, q) + q ** k * gaussian_binomial(n - 1, k, q)
         assert lhs == rhs
+
+
+def test_field_inversion_stays_in_linalg():
+    """Every module but linalg takes inverses from its PrimeField, so no
+    other module calls the three-argument pow."""
+    src = Path(__file__).resolve().parent.parent / "src" / "quivergrass"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "pow" and len(node.args) == 3):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_inverse_table_shared_per_prime():
+    f, g = PrimeField(101), PrimeField(101)
+    assert f.inverses is g.inverses
+    assert not f.inverses.flags.writeable
+    assert (np.arange(1, 101) * f.inverses[1:] % 101 == 1).all()

@@ -57,13 +57,22 @@ def test_gr24_single_exchange_quadric():
     assert rels[0].evaluate(coords, f) != 0
 
 
+@pytest.mark.parametrize("e, d, count", [(2, 4, 1), (2, 5, 5), (3, 6, 45)])
+def test_grassmann_relation_counts(e, d, count):
+    # distinct exchange quadrics up to sign, all with coefficients +-1
+    ring = PlueckerRing(Quiver([1], []), (d,), (e,))
+    rels = grassmann_relations(ring, 0)
+    assert len(rels) == count
+    assert {c for g in rels for c in g.coeffs.values()} == {1, -1}
+
+
 def test_grassmann_relations_vanish_on_all_subspaces():
     q = Quiver([1], [])
     for d, e in [(4, 2), (5, 2)]:
         ring = PlueckerRing(q, (d,), (e,))
         rels = grassmann_relations(ring, 0)
         f = PrimeField(2)
-        en = enumerate_subspaces(e, d, 2)
+        en = enumerate_subspaces(e, d, f)
         for b in np.asarray(en.bases, dtype=np.int64):
             coords = pluecker_coordinates(ring, [f.mat(b)], f)
             for g in rels:
@@ -77,7 +86,7 @@ def vanishing_locus_matches_points(quiver, iso_labels, e, p, scope):
     m = cat.realize(iso)
     ring, gens = ideal(m, e, scope=scope)
     f = PrimeField(p)
-    enums = [enumerate_subspaces(e[v], m.dims[v], p) for v in range(quiver.n)]
+    enums = [enumerate_subspaces(e[v], m.dims[v], f) for v in range(quiver.n)]
     n_points = 0
     for choice in itertools.product(*[range(en.bases.shape[0]) for en in enums]):
         bases = [f.mat(np.asarray(enums[v].bases[choice[v]], dtype=np.int64))

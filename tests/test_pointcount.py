@@ -23,13 +23,13 @@ def test_subspace_enum_counts():
     for p in (2, 3):
         for d in range(5):
             for e in range(d + 1):
-                en = enumerate_subspaces(e, d, p)
+                en = enumerate_subspaces(e, d, PrimeField(p))
                 assert en.bases.shape[0] == gaussian_binomial(d, e, p)
 
 
 def test_subspace_enum_bases_are_rref():
     f = PrimeField(3)
-    en = enumerate_subspaces(2, 4, 3)
+    en = enumerate_subspaces(2, 4, f)
     seen = set()
     for b in np.asarray(en.bases, dtype=np.int64):
         red, pivots = f.rref(f.mat(b))
@@ -63,14 +63,17 @@ def test_identity_map_counts_containment():
     linear_quiver(2),
     zigzag_quiver(3),
     linear_quiver(3, ">>"),
-    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)]),
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)]),  # D4 into the center
+    Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),  # D4 subspace orientation
+    Quiver([1, 2, 3, 4], [(2, 1), (2, 3), (2, 4)]),  # D4 out of the center
 ])
-@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3]))
-@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3, 5]))
+@settings(max_examples=25, deadline=None)
 def test_dp_equals_brute_force(quiver, seed, p):
     rng = np.random.default_rng(seed)
     cat = get_catalog(quiver, p)
-    # random multiset with per-vertex dimension at most 3 (oracle-sized)
+    # random multiset with per-vertex dimension at most 3: at p = 5 the
+    # oracle then checks at most 31^4 tuples, well within its budget
     counts = {}
     total = [0] * quiver.n
     for k in rng.permutation(len(cat.labels)):
@@ -94,9 +97,19 @@ def test_count_rejects_bad_subdimension():
         count_points(m, (2, 0), 2)
 
 
+def test_count_rejects_prime_of_another_field():
+    # an isomorphism over F_5; read at p = 2, [[2]] would become the zero map
+    q = linear_quiver(2)
+    m = Representation(q, PrimeField(5), (1, 1), [[[2]]])
+    assert count_points(m, (1, 0), 5) == brute_force_count(m, (1, 0), 5) == 0
+    for count in (count_points, brute_force_count):
+        with pytest.raises(CountError, match=r"p=2 .*F_5"):
+            count(m, (1, 0), 2)
+
+
 def test_enum_budget_enforced():
     with pytest.raises(CountError):
-        enumerate_subspaces(5, 10, 3, budget=1000)
+        enumerate_subspaces(5, 10, PrimeField(3), budget=1000)
 
 
 def test_interpolate_recovers_polynomial():
