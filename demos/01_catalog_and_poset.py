@@ -6,7 +6,7 @@ Run with:  python3 demos/01_catalog_and_poset.py
 
 from quivergrass.catalog import get_catalog
 from quivergrass.lab import PrincipalConfig
-from quivergrass.poset import build_poset, enumerate_isoclasses, generic_isoclass
+from quivergrass.poset import enumerate_isoclasses, generic_isoclass
 from quivergrass.quiver import dynkin_type, zigzag_quiver
 
 
@@ -27,7 +27,7 @@ def main():
     isos = enumerate_isoclasses(cat, cfg.d)
     print(f"\n{len(isos)} isomorphism classes of dimension vector {cfg.d}")
 
-    poset = build_poset(cat, cfg.d)
+    poset = cfg.poset  # built on first use, then shared by the lab
     generic = generic_isoclass(cat, cfg.d)
     print(f"generic (rigid) class: {generic}")
     print(f"Hasse diagram has {len(poset.hasse())} covers")

@@ -136,25 +136,23 @@ def _admissible_sink_sequence(q: Quiver) -> list[int]:
 class Catalog:
     """Canonical indecomposable models for a Dynkin quiver over F_p."""
 
-    def __init__(self, quiver: Quiver, field: PrimeField, sink_sequence=None):
+    def __init__(self, quiver: Quiver, field: PrimeField):
         if quiver.dynkin not in ("A", "D"):
             raise CatalogError("catalog requires a type A or D quiver")
         self.quiver = quiver
         self.field = field
         self.labels: list[IndecLabel] = []
         self.models: dict[IndecLabel, Representation] = {}
-        self._build(sink_sequence)
+        self._build()
         self._hom_matrix: np.ndarray | None = None
         self._order: list[int] | None = None
 
     # construction
 
-    def _build(self, sink_sequence):
+    def _build(self):
         q = self.quiver
         roots = positive_roots(q)
-        base_seq = list(sink_sequence) if sink_sequence else _admissible_sink_sequence(q)
-        if sorted(base_seq) != list(range(q.n)):
-            raise CatalogError("sink sequence must enumerate every vertex once")
+        base_seq = _admissible_sink_sequence(q)
         n_roots = len(roots)
         found: dict[tuple[int, ...], Representation] = {}
         # quiver orientations along the periodic reflection word

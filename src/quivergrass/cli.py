@@ -1,9 +1,12 @@
 """Command-line entry points for the workbench.
 
 Verbs: catalog, poset, relations, hilbert, count, classify, conjecture,
-report.  Every verb takes a quiver file (--quiver) and most take the
+report.  Every verb takes a quiver file (--quiver), a working prime
+(--prime) and an output directory (--out).  All but catalog take the
 projective/injective multiplicities (--proj/--inj) that pin down the
-principal configuration.
+principal configuration and the poset budget (--max-nodes); classify,
+conjecture and report also take the largest interpolation prime
+(--max-prime).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .lab import (
 )
 from .pluecker import export_macaulay2, export_text, ideal
 from .pointcount import count_points
-from .poset import build_poset, generic_isoclass
+from .poset import generic_isoclass
 from .quiver import parse_quiver
 
 
@@ -47,7 +50,7 @@ def _config(args) -> PrincipalConfig:
     kwargs = {}
     if args.prime:
         kwargs["catalog_prime"] = args.prime
-    if args.max_prime:
+    if getattr(args, "max_prime", 0):
         kwargs["max_prime"] = args.max_prime
     if args.max_nodes:
         kwargs["max_nodes"] = args.max_nodes
@@ -72,15 +75,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, principal=True):
+    def common(p, principal=True, interpolates=False):
         p.add_argument("--quiver", required=True, help="quiver description file")
         if principal:
             p.add_argument("--proj", required=True, help="projective multiplicities, e.g. 1,1,1")
             p.add_argument("--inj", required=True, help="injective multiplicities")
+            p.add_argument("--max-nodes", type=int, default=0, help="poset size budget")
+        if interpolates:
+            p.add_argument("--max-prime", type=int, default=0,
+                           help="largest interpolation prime (default 101)")
         p.add_argument("--prime", type=int, default=0, help="working prime (default 107)")
-        p.add_argument("--max-prime", type=int, default=0,
-                       help="largest interpolation prime (default 101)")
-        p.add_argument("--max-nodes", type=int, default=0, help="poset size budget")
         p.add_argument("--out", default="", help="output directory (default: stdout)")
 
     p = sub.add_parser("catalog", help="list the indecomposables and Hom matrix")
@@ -106,15 +110,15 @@ def main(argv=None) -> int:
     p.add_argument("--isoclass", default="")
 
     p = sub.add_parser("classify", help="counting polynomial of one isoclass")
-    common(p)
+    common(p, interpolates=True)
     p.add_argument("--isoclass", default="")
 
     p = sub.add_parser("conjecture", help="evaluate one conjecture statement")
-    common(p)
+    common(p, interpolates=True)
     p.add_argument("which", choices=list("ABCDE"))
 
     p = sub.add_parser("report", help="classify the whole poset and report")
-    common(p)
+    common(p, interpolates=True)
     p.add_argument("--dot", action="store_true")
 
     args = parser.parse_args(argv)
@@ -142,11 +146,10 @@ def main(argv=None) -> int:
         return generic_isoclass(cat, cfg.d, budget=cfg.max_nodes)
 
     if args.verb == "poset":
-        poset = build_poset(cat, cfg.d, budget=cfg.max_nodes)
         if args.dot:
-            _write(args, "poset.dot", poset.to_dot())
+            _write(args, "poset.dot", cfg.poset.to_dot())
         else:
-            _write(args, "poset.json", poset.to_json() + "\n")
+            _write(args, "poset.json", cfg.poset.to_json() + "\n")
     elif args.verb == "relations":
         iso = pick_isoclass(args.isoclass)
         m = cat.realize(iso)

@@ -169,11 +169,10 @@ def interreduce(basis: list[GPoly], field: PrimeField) -> list[GPoly]:
 
 
 def groebner_basis(ring: PlueckerRing, gens: list[MPoly], p: int, *,
-                   max_degree: int | None = None,
-                   pair_budget: int = DEFAULT_PAIR_BUDGET) -> list[GPoly]:
+                   max_degree: int | None = None) -> list[GPoly]:
     nvars = len(ring)
     return buchberger([GPoly.from_mpoly(g, nvars, p) for g in gens], PrimeField(p),
-                      max_degree=max_degree, pair_budget=pair_budget)
+                      max_degree=max_degree)
 
 
 # -- invariants of the leading-term ideal -----------------------------------
@@ -261,13 +260,11 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     return folded[0]
 
 
-def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees, *,
-                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> list[dict]:
+def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees) -> list[dict]:
     """Entries {"m": [...], "dim": N} for each requested multidegree."""
     degrees = [ring.quiver.check_dimvector(m) for m in degrees]
     max_total = max((sum(m) for m in degrees), default=0)
-    basis = groebner_basis(ring, gens, p, max_degree=max_total,
-                           pair_budget=pair_budget)
+    basis = groebner_basis(ring, gens, p, max_degree=max_total)
     return [
         {"m": list(m), "dim": hilbert_component(ring, basis, m)}
         for m in degrees

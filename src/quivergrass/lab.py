@@ -11,6 +11,7 @@ with a single top component (gamma1, an irreducibility proxy).
 from __future__ import annotations
 
 import configparser
+import functools
 import itertools
 import json
 import re
@@ -59,8 +60,8 @@ class PrincipalConfig:
         self.enum_budget = enum_budget
         self.pair_budget = pair_budget
         cat = self.catalog
-        self.proj_iso = _multiplicity_iso(cat, self.proj_mult, cat.projective_label)
-        self.inj_iso = _multiplicity_iso(cat, self.inj_mult, cat.injective_label)
+        self.proj_iso = _multiplicity_iso(self.proj_mult, cat.projective_label)
+        self.inj_iso = _multiplicity_iso(self.inj_mult, cat.injective_label)
         n = quiver.n
         self.e = self.proj_iso.dims(n) if self.proj_iso.counts else (0,) * n
         dim_i = self.inj_iso.dims(n) if self.inj_iso.counts else (0,) * n
@@ -73,6 +74,11 @@ class PrincipalConfig:
 
     def catalog_at(self, p: int) -> Catalog:
         return get_catalog(self.quiver, p)
+
+    @functools.cached_property
+    def poset(self) -> IsoclassPoset:
+        """The degeneration poset of every isoclass of dimension d, built once."""
+        return build_poset(self.catalog, self.d, budget=self.max_nodes)
 
     def deficient_vertices(self) -> list[int]:
         """Internal indices where dim P or dim I vanishes."""
@@ -118,7 +124,7 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
 
 
-def _multiplicity_iso(cat: Catalog, mult, label_of) -> Isoclass:
+def _multiplicity_iso(mult, label_of) -> Isoclass:
     counts = {}
     for i, u in enumerate(mult):
         if u:
@@ -131,12 +137,15 @@ class ExperimentReport:
     """Everything classify_all learns about one principal configuration."""
 
     config: PrincipalConfig
-    poset: IsoclassPoset
     classifications: dict = dc_field(default_factory=dict)
     gamma1: list = dc_field(default_factory=list)
     gamma2: list = dc_field(default_factory=list)
     gaps: list = dc_field(default_factory=list)
     verdicts: dict = dc_field(default_factory=dict)
+
+    @property
+    def poset(self) -> IsoclassPoset:
+        return self.config.poset
 
     def classification(self, iso: Isoclass) -> Classification:
         return self.classifications[iso]
@@ -167,9 +176,8 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
     Both are asserted to be lower ideals.  Nodes whose classification fails
     within budget are recorded in ``gaps`` and excluded from the loci.
     """
-    cat = cfg.catalog
-    poset = build_poset(cat, cfg.d, budget=cfg.max_nodes)
-    report = ExperimentReport(cfg, poset)
+    poset = cfg.poset
+    report = ExperimentReport(cfg)
     for k, iso in enumerate(poset.nodes):
         try:
             cls = classify_node(cfg, iso)
@@ -180,7 +188,6 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
             report.gaps.append(f"{iso}: interpolation not consistent "
                                f"within prime budget")
         report.classifications[iso] = cls
-        poset.annotations[iso] = cls.to_record(str(iso))
         if progress:
             progress(k + 1, len(poset.nodes), iso, cls)
     classified = [x for x in poset.nodes if x in report.classifications]
@@ -198,9 +205,6 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
         if not report.gaps:
             poset.lower_ideal(lambda x: x in set(report.gamma2))
             poset.lower_ideal(lambda x: x in set(report.gamma1))
-        for x in classified:
-            poset.annotations[x]["gamma2"] = x in set(report.gamma2)
-            poset.annotations[x]["irreducible_proxy"] = x in set(report.gamma1)
     return report
 
 
@@ -240,7 +244,7 @@ def split_at_deficient(cfg: PrincipalConfig) -> Isoclass:
     return Isoclass(counts)
 
 
-def _segment_m2(cat: Catalog, a: int, b: int, toward_b: bool) -> dict[str, int]:
+def _segment_m2(a: int, b: int, toward_b: bool) -> dict[str, int]:
     """Deepest-candidate summands of one equioriented segment [a..b].
 
     Returns interval names (path-order positions) with multiplicities for
@@ -295,7 +299,7 @@ def conjectured_m2(cfg: PrincipalConfig) -> Isoclass | None:
     segments.append((a, q.n, forward[-1]))
     counts: dict[str, int] = {}
     for a, b, toward_b in segments:
-        for name, mult in _segment_m2(cat, a, b, toward_b).items():
+        for name, mult in _segment_m2(a, b, toward_b).items():
             counts[name] = counts.get(name, 0) + mult
     # gluing: drop two copies of the simple at each junction vertex
     for a, b, _ in segments[:-1]:
@@ -328,12 +332,11 @@ class HomCriterion:
     dual_agrees: bool
 
 
-def hom_criterion_set(cfg: PrincipalConfig, poset: IsoclassPoset | None = None) -> HomCriterion:
+def hom_criterion_set(cfg: PrincipalConfig) -> HomCriterion:
     """Nodes M with hom(M, X) <= hom(P, X) + 1 for all non-injective
     indecomposable X; also the dual form against I over non-projectives."""
     cat = cfg.catalog
-    if poset is None:
-        poset = build_poset(cat, cfg.d, budget=cfg.max_nodes)
+    poset = cfg.poset
     inj_labels = {cat.injective_label(i) for i in range(cfg.quiver.n)}
     proj_labels = {cat.projective_label(i) for i in range(cfg.quiver.n)}
     non_inj = [b for b, lab in enumerate(cat.labels) if lab not in inj_labels]
@@ -377,9 +380,7 @@ def check_conjecture(cfg: PrincipalConfig, which: str, *,
     """Evaluate one of the five conjecture-style statements A-E."""
     which = which.upper()
     if which == "A":
-        poset = (report.poset if report is not None
-                 else build_poset(cfg.catalog, cfg.d, budget=cfg.max_nodes))
-        return _check_a(cfg, poset, max_multidegree)
+        return _check_a(cfg, max_multidegree)
     if report is None:
         report = classify_all(cfg)
     if which == "B":
@@ -393,13 +394,14 @@ def check_conjecture(cfg: PrincipalConfig, which: str, *,
     raise LabError(f"unknown conjecture {which!r}")
 
 
-def _check_a(cfg: PrincipalConfig, poset: IsoclassPoset, max_multidegree: int) -> Verdict:
+def _check_a(cfg: PrincipalConfig, max_multidegree: int) -> Verdict:
     """Probe: does adding path relations to arrow relations change any
     Hilbert value?  A strict drop means the arrow ideal alone is too small;
     no verdict on reducedness is implied either way."""
     degrees = list(itertools.product(range(max_multidegree + 1), repeat=cfg.quiver.n))
     drops = []
-    for iso in poset.nodes:
+    nodes = cfg.poset.nodes
+    for iso in nodes:
         arrows = _hilbert_dims(cfg, iso, degrees, "arrows")
         paths = _hilbert_dims(cfg, iso, degrees, "paths")
         if any(pa > ar for ar, pa in zip(arrows, paths)):
@@ -408,7 +410,7 @@ def _check_a(cfg: PrincipalConfig, poset: IsoclassPoset, max_multidegree: int) -
         if strict:
             drops.append({"isoclass": str(iso), "degrees": strict})
     summary = (f"path relations strictly refine arrow relations on "
-               f"{len(drops)}/{len(poset.nodes)} nodes")
+               f"{len(drops)}/{len(nodes)} nodes")
     return Verdict("A", None, summary, {"drops": drops})
 
 
@@ -455,7 +457,7 @@ def _check_c(cfg: PrincipalConfig, report: ExperimentReport) -> Verdict:
 
 
 def _check_d(cfg: PrincipalConfig, report: ExperimentReport) -> Verdict:
-    crit = hom_criterion_set(cfg, report.poset)
+    crit = hom_criterion_set(cfg)
     holds = set(crit.members) == set(report.gamma2)
     extra = sorted(str(x) for x in set(crit.members) - set(report.gamma2))
     missing = sorted(str(x) for x in set(report.gamma2) - set(crit.members))
@@ -499,6 +501,15 @@ def _check_e(cfg: PrincipalConfig, report: ExperimentReport,
 
 def report_json(report: ExperimentReport) -> str:
     cfg = report.config
+    gamma1, gamma2 = set(report.gamma1), set(report.gamma2)
+
+    def node_record(x: Isoclass) -> dict:
+        cls = report.classifications.get(x)
+        if cls is None:
+            return {"isoclass": str(x)}
+        return {**cls.to_record(str(x)), "gamma2": x in gamma2,
+                "irreducible_proxy": x in gamma1}
+
     data = {
         "quiver": repr(cfg.quiver),
         "proj": list(cfg.proj_mult),
@@ -506,10 +517,7 @@ def report_json(report: ExperimentReport) -> str:
         "d": list(cfg.d),
         "e": list(cfg.e),
         "expected_dim": cfg.expected_dim,
-        "nodes": [
-            report.poset.annotations.get(x, {"isoclass": str(x)})
-            for x in report.poset.nodes
-        ],
+        "nodes": [node_record(x) for x in report.poset.nodes],
         "gamma1": sorted(str(x) for x in report.gamma1),
         "gamma2": sorted(str(x) for x in report.gamma2),
         "gamma1_sinks": [str(x) for x in report.gamma1_sinks()],

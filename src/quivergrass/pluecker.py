@@ -95,52 +95,12 @@ class MPoly:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: PlueckerRing, coeffs: dict | None = None):
+    def __init__(self, ring: PlueckerRing, coeffs: dict):
         self.ring = ring
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def term(cls, ring, coeff: int, varidx: tuple[int, ...]):
-        return cls(ring, {tuple(sorted(varidx)): int(coeff)})
+        self.coeffs = {m: c for m, c in coeffs.items() if c != 0}
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, MPoly) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return MPoly(self.ring, out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) - c
-        return MPoly(self.ring, out)
-
-    def __neg__(self):
-        return MPoly(self.ring, {m: -c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MPoly(self.ring, {m: c * other for m, c in self.coeffs.items()})
-        out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return MPoly(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def multidegree(self):
-        degs = {self.ring.multidegree(m) for m in self.coeffs}
-        if len(degs) > 1:
-            raise PlueckerError("polynomial is not multihomogeneous")
-        return next(iter(degs)) if degs else None
 
     def evaluate(self, coords, field: PrimeField) -> int:
         """Value mod p given per-variable coordinate values (reduced term by
@@ -194,7 +154,7 @@ def grassmann_relations(ring: PlueckerRing, vertex: int) -> list[MPoly]:
     cols = range(1, dv + 1)
     for i_set in itertools.combinations(cols, a - 1):
         for j_set in itertools.combinations(cols, a + 1):
-            poly = MPoly(ring)
+            coeffs: dict = {}
             for pos, q in enumerate(j_set):
                 if q in i_set:
                     continue
@@ -202,8 +162,9 @@ def grassmann_relations(ring: PlueckerRing, vertex: int) -> list[MPoly]:
                 v2 = ring.index(vertex, tuple(x for x in j_set if x != q))
                 # sorting-insertion sign of q into i_set
                 ins = sum(1 for x in i_set if x > q)
-                sign = (-1) ** (pos + ins)
-                poly = poly + MPoly.term(ring, sign, (v1, v2))
+                mono = tuple(sorted((v1, v2)))
+                coeffs[mono] = coeffs.get(mono, 0) + (-1) ** (pos + ins)
+            poly = MPoly(ring, coeffs)
             # g and -g share a key: scale by the first coefficient (+-1)
             items = sorted(poly.coeffs.items())
             key = tuple((m, c * items[0][1]) for m, c in items) if items else None
@@ -227,7 +188,7 @@ def _bilinear_family(ring: PlueckerRing, s: int, t: int, mat: np.ndarray) -> lis
         return out
     for i_set in itertools.combinations(range(1, ds + 1), es - 1):
         for j_set in itertools.combinations(range(1, dt + 1), et + 1):
-            poly = MPoly(ring)
+            coeffs: dict = {}
             for p_col in range(1, ds + 1):
                 if p_col in i_set:
                     continue
@@ -239,8 +200,9 @@ def _bilinear_family(ring: PlueckerRing, s: int, t: int, mat: np.ndarray) -> lis
                         continue
                     v2 = ring.index(t, tuple(x for x in j_set if x != q_col))
                     eps_q = sum(1 for x in j_set if x <= q_col)
-                    sign = (-1) ** (eps_p + eps_q)
-                    poly = poly + MPoly.term(ring, sign * coeff, (v1, v2))
+                    mono = tuple(sorted((v1, v2)))
+                    coeffs[mono] = coeffs.get(mono, 0) + (-1) ** (eps_p + eps_q) * coeff
+            poly = MPoly(ring, coeffs)
             if poly:
                 out.append(poly)
     return out

@@ -115,11 +115,11 @@ def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.n
             # the pivot columns of an rref basis form the identity, so only
             # the non-pivot columns of the reduced rows can be nonzero
             b = en.bases[lo:hi, :, :][:, :, nonpiv].astype(dtype)
-            rest = f.reduce(w_rest[None, :, :] - np.einsum("ke,nef->nkf", w_piv, b))
+            rest = w_rest[None, :, :] - np.einsum("ke,nef->nkf", w_piv, b)
             if rest.shape[2] == 1:
-                out[lo:hi] = e + (rest[:, :, 0] != 0).any(axis=1)
+                out[lo:hi] = e + (f.reduce(rest[:, :, 0]) != 0).any(axis=1)
             else:
-                out[lo:hi] = e + f.batched_rank(rest)
+                out[lo:hi] = e + f.batched_rank(rest)  # reduces its input
     return out
 
 
@@ -197,10 +197,6 @@ def count_points(m: Representation, e, p: int, *,
     f = _field_of(m, p)
     gauss = _gauss_table(p, max(m.dims, default=0))
     adj = q.neighbors()
-
-    if q.n == 1:
-        return int(gaussian_binomial(m.dims[0], e[0], p))
-
     root = _choose_root(q, m.dims, e, p)
 
     def enum(v: int) -> SubspaceEnum:
@@ -242,7 +238,7 @@ def count_points(m: Representation, e, p: int, *,
         bc = ec.bases.astype(np.int64)
         into_v = q.source(a) == child
         if into_v:
-            img_c = f.mul(bc, m.maps[a].T)  # (Nc, e_c, d_v), the same for every chunk
+            img_c = bc @ m.maps[a].T  # (Nc, e_c, d_v), the same for every chunk
         step = max(1, _CHUNK // max(1, ec.size))
         for lo in range(0, ev.size, step):
             hi = min(lo + step, ev.size)
@@ -250,7 +246,7 @@ def count_points(m: Representation, e, p: int, *,
             if into_v:
                 comp = _containment(f, img_c, bv, e[v])
             else:
-                img = f.mul(bv, m.maps[a].T)  # (chunk, e_v, d_child)
+                img = bv @ m.maps[a].T  # (chunk, e_v, d_child)
                 comp = _containment(f, img, bc, e[child]).T
             # comp[x, y]: U_c[y] compatible with U_v[lo + x]
             for x in range(hi - lo):
@@ -292,7 +288,8 @@ def _edge_arrow(q: Quiver, u: int, v: int) -> int:
 def _containment(f: PrimeField, vecs: np.ndarray, spaces: np.ndarray, e_space: int) -> np.ndarray:
     """contained[x, y]: rows of vecs[y] all lie in the span of spaces[x].
 
-    vecs: (Ny, r, d); spaces: (Nx, e, d).  Returns (Nx, Ny) bool.
+    vecs: (Ny, r, d); spaces: (Nx, e, d), integer entries that
+    ``batched_rank`` reduces mod p.  Returns (Nx, Ny) bool.
     """
     nx = spaces.shape[0]
     ny, r, d = vecs.shape

@@ -157,7 +157,6 @@ class IsoclassPoset:
         both = self.leq & self.leq.T
         if (both != np.eye(n, dtype=bool)).any():
             raise PosetError("distinct isoclasses with identical fingerprints")
-        self.annotations: dict[Isoclass, dict] = {}
 
     def __len__(self):
         return len(self.nodes)
@@ -216,11 +215,6 @@ class IsoclassPoset:
             "dimension_vector": list(self.d),
             "nodes": [str(x) for x in self.nodes],
             "hasse": [[str(a), str(b)] for a, b in self.hasse()],
-            "annotations": {
-                str(x): ann for x, ann in sorted(
-                    self.annotations.items(), key=lambda kv: str(kv[0])
-                )
-            },
         }
         return json.dumps(data, indent=2, sort_keys=True)
 

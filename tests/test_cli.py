@@ -37,6 +37,7 @@ def test_poset_verb_json_and_dot(capsys, arrow_file):
               "--proj", "1,1", "--inj", "1,1")
     data = json.loads(out)
     assert data["nodes"]
+    assert sorted(data) == ["dimension_vector", "hasse", "nodes"]
     dot = run(capsys, "poset", "--quiver", arrow_file,
               "--proj", "1,1", "--inj", "1,1", "--dot")
     assert dot.startswith("digraph")
@@ -64,10 +65,22 @@ def test_classify_max_prime(capsys, arrow_file):
     assert json.loads(out)["primes"] == [2, 3, 5]
 
 
-@pytest.mark.parametrize("flag", [["--primes", "2,3,5"], ["--jobs", "2"]])
+@pytest.mark.parametrize("flag", [
+    ["classify", "--primes", "2,3,5"],
+    ["classify", "--jobs", "2"],
+    ["catalog", "--max-prime", "5"],
+    ["catalog", "--max-nodes", "50"],
+    ["poset", "--max-prime", "5"],
+    ["relations", "--max-prime", "5"],
+    ["hilbert", "--max-prime", "5"],
+    ["count", "--max-prime", "5"],
+])
 def test_removed_flags_rejected(arrow_file, flag):
+    """A verb rejects every flag it does not read (``flag`` starts with the verb)."""
+    verb, *rest = flag
+    principal = [] if verb == "catalog" else ["--proj", "1,1", "--inj", "1,1"]
     with pytest.raises(SystemExit) as exc:
-        main(["classify", "--quiver", arrow_file, "--proj", "1,1", "--inj", "1,1", *flag])
+        main([verb, "--quiver", arrow_file, *principal, *rest])
     assert exc.value.code == 2
 
 

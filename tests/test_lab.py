@@ -6,7 +6,6 @@ import pytest
 from quivergrass.catalog import Isoclass, get_catalog
 from quivergrass import lab
 from quivergrass.lab import (
-    ExperimentReport,
     LabError,
     PrincipalConfig,
     check_conjecture,
@@ -185,7 +184,7 @@ def test_upper_semicontinuity(zigzag3_report):
 
 
 def test_hom_criterion_zigzag(zigzag3_cfg, zigzag3_report):
-    crit = hom_criterion_set(zigzag3_cfg, zigzag3_report.poset)
+    crit = hom_criterion_set(zigzag3_cfg)
     assert crit.dual_agrees
     assert set(crit.members) == set(zigzag3_report.gamma2)
     assert crit.sinks == zigzag3_report.gamma2_sinks()
@@ -217,6 +216,10 @@ def test_report_json_shape(zigzag3_report):
     assert len(data["nodes"]) == 26
     assert data["gamma2_sinks"]
     assert data["gaps"] == []
+    gamma1, gamma2 = set(data["gamma1"]), set(data["gamma2"])
+    for node in data["nodes"]:
+        assert node["gamma2"] == (node["isoclass"] in gamma2)
+        assert node["irreducible_proxy"] == (node["isoclass"] in gamma1)
 
 
 def test_report_dot_colors(zigzag3_report):
@@ -232,18 +235,22 @@ def test_conjecture_a_equioriented_drops(eq_a3_cfg):
     assert len(v.details["drops"]) == 20
 
 
-def test_conjecture_a_reads_the_report_poset(monkeypatch, zigzag3_cfg):
-    cfg = zigzag3_cfg
-    fresh = check_conjecture(cfg, "A")
-    stub = ExperimentReport(cfg, build_poset(cfg.catalog, cfg.d, budget=cfg.max_nodes))
+def test_one_poset_build_per_configuration(monkeypatch):
+    cfg = PrincipalConfig(zigzag_quiver(3), (1, 1, 1), (1, 0, 1))
+    builds = []
 
-    def no_poset(*args, **kwargs):
-        raise AssertionError("conjecture A rebuilt the poset")
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_poset(*args, **kwargs)
 
-    monkeypatch.setattr(lab, "build_poset", no_poset)
-    reused = check_conjecture(cfg, "A", report=stub)
-    assert reused.summary == fresh.summary
-    assert reused.details == fresh.details
+    monkeypatch.setattr(lab, "build_poset", counting)
+    report = lab.classify_all(cfg)
+    for which in "ABCDE":
+        report.verdicts[which] = check_conjecture(cfg, which, report=report)
+    check_conjecture(cfg, "C")  # classifies again without a report
+    hom_criterion_set(cfg)
+    assert len(builds) == 1
+    assert report.poset is cfg.poset
 
 
 def test_conjecture_e_one_table_per_node(monkeypatch, zigzag3_cfg, zigzag3_report):

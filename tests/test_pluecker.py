@@ -7,7 +7,6 @@ import pytest
 from quivergrass.catalog import Isoclass, get_catalog
 from quivergrass.linalg import PrimeField
 from quivergrass.pluecker import (
-    MPoly,
     PlueckerRing,
     export_macaulay2,
     export_text,
@@ -27,17 +26,6 @@ def test_ring_variable_count():
     # multidegree of a product of one variable per vertex is (1, 1, 1)
     mono = (0, 3, 3 + comb(4, 3))
     assert ring.multidegree(tuple(sorted(mono))) == (1, 1, 1)
-
-
-def test_mpoly_arithmetic():
-    q = Quiver([1], [])
-    ring = PlueckerRing(q, (3,), (1,))
-    x = MPoly.term(ring, 1, (0,))
-    y = MPoly.term(ring, 1, (1,))
-    assert (x + y) - y == x
-    assert x * y == y * x
-    assert not (x - x)
-    assert ((x + y) * (x - y)) == x * x - y * y
 
 
 def test_gr24_single_exchange_quadric():

@@ -66,6 +66,7 @@ def test_identity_map_counts_containment():
     Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)]),  # D4 into the center
     Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),  # D4 subspace orientation
     Quiver([1, 2, 3, 4], [(2, 1), (2, 3), (2, 4)]),  # D4 out of the center
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)]),  # A4: pair messages off the root
 ])
 @given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3, 5]))
 @settings(max_examples=25, deadline=None)
