@@ -5,7 +5,7 @@ report.  Every verb takes a quiver file (--quiver), a working prime
 (--prime) and an output directory (--out).  All but catalog take the
 projective/injective multiplicities (--proj/--inj) that pin down the
 principal configuration and the poset budget (--max-nodes); classify,
-conjecture and report also take the largest interpolation prime
+conjecture and report also take the largest prime a count may use
 (--max-prime).
 """
 
@@ -29,7 +29,6 @@ from .lab import (
 )
 from .pluecker import export_macaulay2, export_text, ideal
 from .pointcount import count_points
-from .poset import generic_isoclass
 from .quiver import parse_quiver
 
 
@@ -75,15 +74,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, principal=True, interpolates=False):
+    def common(p, principal=True, decodes=False):
         p.add_argument("--quiver", required=True, help="quiver description file")
         if principal:
             p.add_argument("--proj", required=True, help="projective multiplicities, e.g. 1,1,1")
             p.add_argument("--inj", required=True, help="injective multiplicities")
             p.add_argument("--max-nodes", type=int, default=0, help="poset size budget")
-        if interpolates:
+        if decodes:
             p.add_argument("--max-prime", type=int, default=0,
-                           help="largest interpolation prime (default 101)")
+                           help="largest prime a count may use; a node that needs "
+                                "more is an error (default 101)")
         p.add_argument("--prime", type=int, default=0, help="working prime (default 107)")
         p.add_argument("--out", default="", help="output directory (default: stdout)")
 
@@ -110,15 +110,15 @@ def main(argv=None) -> int:
     p.add_argument("--isoclass", default="")
 
     p = sub.add_parser("classify", help="counting polynomial of one isoclass")
-    common(p, interpolates=True)
+    common(p, decodes=True)
     p.add_argument("--isoclass", default="")
 
     p = sub.add_parser("conjecture", help="evaluate one conjecture statement")
-    common(p, interpolates=True)
+    common(p, decodes=True)
     p.add_argument("which", choices=list("ABCDE"))
 
     p = sub.add_parser("report", help="classify the whole poset and report")
-    common(p, interpolates=True)
+    common(p, decodes=True)
     p.add_argument("--dot", action="store_true")
 
     args = parser.parse_args(argv)
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     def pick_isoclass(text: str):
         if text:
             return cat.parse_isoclass(text)
-        return generic_isoclass(cat, cfg.d, budget=cfg.max_nodes)
+        return cfg.generic()
 
     if args.verb == "poset":
         if args.dot:

@@ -28,8 +28,9 @@ from .pointcount import (
     DEFAULT_PAIR_BUDGET,
     classify,
 )
-from .poset import DEFAULT_NODE_BUDGET, IsoclassPoset, build_poset, generic_isoclass
+from .poset import DEFAULT_NODE_BUDGET, IsoclassPoset, build_poset
 from .quiver import Quiver, parse_quiver
+from .reps import is_rigid
 
 
 class LabError(ValueError):
@@ -79,6 +80,12 @@ class PrincipalConfig:
     def poset(self) -> IsoclassPoset:
         """The degeneration poset of every isoclass of dimension d, built once."""
         return build_poset(self.catalog, self.d, budget=self.max_nodes)
+
+    def generic(self) -> Isoclass:
+        """The rigid isoclass of dimension d: the poset's minimal element."""
+        iso = self.poset.minimal_element()
+        assert is_rigid(self.catalog.realize(iso))
+        return iso
 
     def deficient_vertices(self) -> list[int]:
         """Internal indices where dim P or dim I vanishes."""
@@ -174,7 +181,8 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
     gamma2 = nodes of expected (minimal) dimension; gamma1 additionally
     requires a single top-dimensional component (irreducibility proxy).
     Both are asserted to be lower ideals.  Nodes whose classification fails
-    within budget are recorded in ``gaps`` and excluded from the loci.
+    within budget are recorded in ``gaps`` and excluded from the loci, and
+    so are empty Grassmannians (dimension -1).
     """
     poset = cfg.poset
     report = ExperimentReport(cfg)
@@ -185,12 +193,12 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
             report.gaps.append(f"{iso}: {exc}")
             continue
         if not cls.consistent:
-            report.gaps.append(f"{iso}: interpolation not consistent "
-                               f"within prime budget")
+            report.gaps.append(f"{iso}: {cls.reason}")
         report.classifications[iso] = cls
         if progress:
             progress(k + 1, len(poset.nodes), iso, cls)
-    classified = [x for x in poset.nodes if x in report.classifications]
+    classified = [x for x, cls in report.classifications.items()
+                  if cls.consistent and cls.dimension >= 0]
     if classified:
         dims = {x: report.classifications[x].dimension for x in classified}
         min_dim = min(dims.values())
@@ -476,7 +484,7 @@ def _check_e(cfg: PrincipalConfig, report: ExperimentReport,
     """dim Pl_m(M) >= dim Pl_m(M0) everywhere, with equality at every m
     exactly on the minimal-dimension locus."""
     degrees = list(itertools.product(range(max_multidegree + 1), repeat=cfg.quiver.n))
-    generic = generic_isoclass(cfg.catalog, cfg.d, budget=cfg.max_nodes)
+    generic = cfg.generic()
     tables = {iso: _hilbert_dims(cfg, iso, degrees, "arrows") for iso in report.poset.nodes}
     base = tables[generic]
     violations = []

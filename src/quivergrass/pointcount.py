@@ -2,9 +2,14 @@
 
 ``count_points`` runs a tree dynamic program that eliminates leaves with
 closed-form subspace counts where possible; ``brute_force_count`` is the
-slow independent oracle.  Counts at several primes interpolate to an exact
-rational counting polynomial whose degree and leading coefficient classify
-the variety (dimension, number of top-dimensional components).
+slow independent oracle.  ``classify`` decodes the counting polynomial
+P(q) = sum c_i q^i, whose degree and leading coefficient classify the
+variety (dimension, number of top-dimensional components).  Dynkin quiver
+Grassmannians have affine pavings, so every c_i >= 0 and sum c_i = P(1) =
+chi, the Euler characteristic; chi is a knapsack over the catalog summands
+(``euler_characteristic``), and once the product of the primes counted
+exceeds chi every c_i is a CRT residue of the counts (``decode``).  Newton
+interpolation (``interpolate``) is the independent oracle of the decode.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
+from .catalog import CatalogError, get_catalog
 from .linalg import PrimeField, gaussian_binomial, is_prime
 from .quiver import Quiver
 from .reps import Representation
@@ -29,7 +36,7 @@ class CountError(ValueError):
 DEFAULT_ENUM_BUDGET = 6_000_000
 DEFAULT_PAIR_BUDGET = 30_000_000
 BRUTE_BUDGET = 10_000_000
-HELDOUT = 2  # spare interpolation nodes a consistent polynomial must fit
+HELDOUT = 2  # primes past the decode that a consistent polynomial must fit
 _CHUNK = 200_000
 
 
@@ -443,7 +450,8 @@ def interpolate(nodes) -> tuple[CountingPolynomial, bool]:
 
 @dataclass
 class Classification:
-    """Dimension and top-component count read off the counting polynomial."""
+    """Dimension and top-component count read off the counting polynomial
+    (dimension -1 and the zero polynomial for an empty Grassmannian)."""
 
     dimension: int
     top_count: int
@@ -451,6 +459,7 @@ class Classification:
     consistent: bool
     method: str
     counts: dict = dc_field(default_factory=dict)
+    reason: str = ""  # why the result is not consistent; '' when it is
 
     def to_json(self, isoclass: str = "") -> str:
         return json.dumps(self.to_record(isoclass), sort_keys=True)
@@ -475,41 +484,160 @@ def _primes_from(start: int = 2):
         p += 1
 
 
+# -- Euler characteristics and the decode ----------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _indecomposable_chi(quiver: Quiver, label, f: tuple[int, ...]) -> int:
+    """chi(Gr_f(X)) for the catalog indecomposable X named by ``label``.
+
+    The same decode as ``classify``, bounded by chi <= |Gr_f(X)(F_2)|, which
+    holds because the counting polynomial has non-negative coefficients.
+    """
+    def count_at(p: int) -> int:
+        return count_points(get_catalog(quiver, p).models[label], f, p)
+
+    bound = count_at(2)
+    primes, heldout = _schedule(bound)
+    _, coeffs, reason = _count_and_decode(count_at, primes, heldout, bound, exact=False)
+    if reason:
+        raise CountError(f"chi of Gr_{f}({label}): {reason}")
+    return sum(coeffs)
+
+
+def euler_characteristic(m: Representation, e) -> int:
+    """chi(Gr_e(M)) from the catalog summands of ``m``, no point count.
+
+    chi is multiplicative over direct sums, chi(Gr_e(M + N)) =
+    sum over f + g = e of chi(Gr_f(M)) chi(Gr_g(N)), so it is a knapsack
+    over the summands reading one table entry per (indecomposable, f).
+    """
+    q = m.quiver
+    e = q.check_dimvector(e)
+    try:
+        iso = get_catalog(q, m.field.p).decompose(m)
+    except CatalogError as exc:
+        raise CountError(f"chi needs a catalog of the quiver: {exc}") from exc
+    chis = {(0,) * q.n: 1}  # partial sub-dimension vector -> chi
+    for label, mult in iso.counts.items():
+        for _ in range(mult):
+            grown: dict[tuple[int, ...], int] = {}
+            for g, c in chis.items():
+                ranges = [range(min(x, ei - gi) + 1) for x, ei, gi in zip(label.dims, e, g)]
+                for f in itertools.product(*ranges):
+                    cx = _indecomposable_chi(q, label, f)
+                    if cx:
+                        h = tuple(a + b for a, b in zip(g, f))
+                        grown[h] = grown.get(h, 0) + c * cx
+            chis = grown
+    return chis.get(e, 0)
+
+
+def _schedule(chi: int) -> tuple[list[int], list[int]]:
+    """The decode primes 2, 3, 5, ... up to the first whose product exceeds
+    ``chi`` (at least p = 2), and the ``HELDOUT`` primes after them (none
+    when chi = 0: the empty variety needs only its zero count at p = 2)."""
+    primes: list[int] = []
+    modulus = 1
+    more = _primes_from(2)
+    while not primes or modulus <= chi:
+        primes.append(next(more))
+        modulus *= primes[-1]
+    heldout = [next(more) for _ in range(HELDOUT)] if chi else []
+    return primes, heldout
+
+
+def _crt(residues: list[int], fields: list[PrimeField]) -> int:
+    """The x in [0, prod p) with x = r mod p for every (r, F_p)."""
+    x, modulus = 0, 1
+    for r, f in zip(residues, fields):
+        x += modulus * (f.inv_scalar(modulus) * (r - x) % f.p)
+        modulus *= f.p
+    return x
+
+
+def decode(counts: dict[int, int], chi: int, *, exact: bool = True) -> list[int] | None:
+    """Coefficients c_0, c_1, ... of the polynomial with P(p) = counts[p],
+    every c_i >= 0 and sum c_i = chi (<= chi unless ``exact``); None when
+    there is no such polynomial.
+
+    The product of the primes must exceed chi.  Then c_0 <= chi is the CRT
+    residue of the counts; (P(p) - c_0) / p are the values of the polynomial
+    of c_1, c_2, ..., which is peeled the same way until every value is 0.
+    """
+    if math.prod(counts) <= chi:
+        raise CountError(f"primes {sorted(counts)} are too few to decode chi = {chi}")
+    fields = [PrimeField(p) for p in counts]
+    values = list(counts.values())
+    coeffs: list[int] = []
+    left = chi
+    while any(values):
+        c = _crt(values, fields)
+        if c > left:
+            return None
+        left -= c
+        coeffs.append(c)
+        values = [(v - c) // f.p for v, f in zip(values, fields)]
+        if min(values) < 0:
+            return None
+    return None if exact and left else coeffs
+
+
+def _count_and_decode(count_at, primes: list[int], heldout: list[int], chi: int, *,
+                      exact: bool) -> tuple[dict[int, int], list[int] | None, str]:
+    """Counts at ``primes``, their decode and the held-out check.
+
+    Returns (counts, coefficients or None, reason); ``reason`` is '' when the
+    decode succeeded and every held-out count agrees with it.
+    """
+    counts = {p: count_at(p) for p in primes}
+    coeffs = decode(counts, chi, exact=exact)
+    if coeffs is None:
+        return counts, None, (f"decode failed: the counts at primes {primes} fit no "
+                              f"polynomial with non-negative coefficients summing to "
+                              f"{'' if exact else 'at most '}{chi}")
+    for p in heldout:
+        counts[p] = count_at(p)
+        value = sum(c * p**i for i, c in enumerate(coeffs))
+        if value != counts[p]:
+            return counts, coeffs, (f"held-out mismatch at p={p}: counted {counts[p]}, "
+                                    f"decoded polynomial gives {value}")
+    return counts, coeffs, ""
+
+
 def classify(m_for_prime, e, *, max_prime: int = 101,
              enum_budget: int = DEFAULT_ENUM_BUDGET,
              pair_budget: int = DEFAULT_PAIR_BUDGET) -> Classification:
-    """Classify a quiver Grassmannian by adaptive interpolation.
+    """Classify a quiver Grassmannian by its chi-bounded counting polynomial.
 
     ``m_for_prime`` is a callable p -> Representation over F_p (the same
-    module realized at each interpolation prime); primes are consumed from
-    2 upward until the interpolant is consistent or ``max_prime`` is hit.
+    module realized at each prime).  chi = P(1) comes from the catalog
+    summands of the module at p = 2 (``euler_characteristic``); the counts at
+    the fewest primes whose product exceeds chi decode P, and ``HELDOUT``
+    further primes must reproduce it.  chi = 0 is the empty variety
+    (dimension -1, zero polynomial), checked by its count at p = 2 alone.
+    Raises CountError when those primes go beyond ``max_prime``; a failed
+    decode or held-out check gives ``consistent=False`` and a ``reason``.
     """
-    counts: dict[int, int] = {}
-    poly = None
-    consistent = False
-    ambient = None
-    for p in _primes_from(2):
-        if p > max_prime:
-            break
-        m = m_for_prime(p)
-        if ambient is None:
-            d = m.dims
-            ev = m.quiver.check_dimvector(e)
-            ambient = sum(x * (y - x) for x, y in zip(ev, d))
-        counts[p] = count_points(m, e, p, enum_budget=enum_budget, pair_budget=pair_budget)
-        if len(counts) >= HELDOUT + 1:
-            poly, consistent = interpolate(sorted(counts.items()))
-            if consistent and poly.degree <= ambient:
-                break
-    if poly is None:
-        poly, consistent = interpolate(sorted(counts.items()))
-    if ambient is not None and poly.degree > ambient:
-        consistent = False
+    m2 = m_for_prime(2)
+    chi = euler_characteristic(m2, e)
+    primes, heldout = _schedule(chi)
+    need = (heldout or primes)[-1]
+    if need > max_prime:
+        raise CountError(f"chi = {chi} needs counts up to p={need}, "
+                         f"above max_prime={max_prime}")
+
+    def count_at(p: int) -> int:
+        m = m2 if p == 2 else m_for_prime(p)
+        return count_points(m, e, p, enum_budget=enum_budget, pair_budget=pair_budget)
+
+    counts, coeffs, reason = _count_and_decode(count_at, primes, heldout, chi, exact=True)
+    poly = CountingPolynomial(tuple(Fraction(c) for c in coeffs or ()))
     return Classification(
         dimension=poly.degree,
-        top_count=int(poly.leading) if poly.leading.denominator == 1 else 0,
+        top_count=int(poly.leading),
         polynomial=poly,
-        consistent=consistent,
+        consistent=not reason,
         method="dp",
         counts=counts,
+        reason=reason,
     )

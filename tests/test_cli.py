@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quivergrass.cli import main
+from quivergrass.pointcount import CountError
 
 
 @pytest.fixture()
@@ -60,9 +61,13 @@ def test_classify_verb(capsys, arrow_file):
 
 
 def test_classify_max_prime(capsys, arrow_file):
+    # chi = 6: 2 * 3 * 5 > 6 decodes, 7 and 11 are held out
     out = run(capsys, "classify", "--quiver", arrow_file,
-              "--proj", "1,1", "--inj", "1,1", "--max-prime", "5")
-    assert json.loads(out)["primes"] == [2, 3, 5]
+              "--proj", "1,1", "--inj", "1,1", "--max-prime", "11")
+    assert json.loads(out)["primes"] == [2, 3, 5, 7, 11]
+    with pytest.raises(CountError, match=r"p=11, above max_prime=7"):
+        main(["classify", "--quiver", arrow_file,
+              "--proj", "1,1", "--inj", "1,1", "--max-prime", "7"])
 
 
 @pytest.mark.parametrize("flag", [

@@ -15,6 +15,7 @@ from quivergrass.lab import (
     report_json,
     split_at_deficient,
 )
+from quivergrass.pointcount import Classification, CountingPolynomial
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass import reps
 from quivergrass.poset import build_poset
@@ -268,3 +269,28 @@ def test_conjecture_e_one_table_per_node(monkeypatch, zigzag3_cfg, zigzag3_repor
     assert v.holds is True
     assert v.summary == ("lower bound violated on 0 nodes; table equality on "
                          "18 nodes vs |gamma2| = 18")
+
+
+def test_empty_and_inconsistent_nodes_stay_out_of_the_loci(monkeypatch):
+    cfg = PrincipalConfig(zigzag_quiver(3), (1, 1, 1), (1, 0, 1))
+    [empty] = cfg.poset.maximal_elements()
+    broken = next(x for x in cfg.poset.nodes if x not in (empty, cfg.generic()))
+    real = lab.classify_node
+
+    def patched(cfg, iso):
+        if iso == empty:
+            return Classification(-1, 0, CountingPolynomial(()), True, "dp", {2: 0})
+        cls = real(cfg, iso)
+        if iso == broken:
+            cls.consistent, cls.reason = False, "decode failed: test"
+        return cls
+
+    monkeypatch.setattr(lab, "classify_node", patched)
+    report = lab.classify_all(cfg)  # no LabError for dimension -1
+    assert report.gaps == [f"{broken}: decode failed: test"]
+    for iso in (empty, broken):
+        assert iso in report.classifications
+        assert iso not in report.gamma1 and iso not in report.gamma2
+    record = next(n for n in json.loads(report_json(report))["nodes"]
+                  if n["isoclass"] == str(empty))
+    assert (record["dim"], record["top_components"], record["poly"]) == (-1, 0, [])

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +10,15 @@ from quivergrass.linalg import PrimeField, gaussian_binomial
 from quivergrass.pointcount import (
     CountError,
     CountingPolynomial,
+    _count_and_decode,
+    _indecomposable_chi,
+    _schedule,
     brute_force_count,
     classify,
     count_points,
+    decode,
     enumerate_subspaces,
+    euler_characteristic,
     interpolate,
 )
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
@@ -167,3 +173,127 @@ def test_classify_projective_line_squared():
     cls = classify(lambda p: cat2[p].realize(iso(p)), (1, 1, 1))
     assert cls.consistent
     assert cls.polynomial.is_integral()
+
+
+# -- the chi-bounded decode -------------------------------------------------
+
+def _value(coeffs, x):
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def _strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def test_classify_empty_grassmannian_is_typed():
+    # U(1,2) on 1 -> 2 is F --id--> F: no line at 1 maps into 0 at 2
+    q = linear_quiver(2)
+    iso = get_catalog(q, 2).parse_isoclass("U(1,2)")
+    cls = classify(lambda p: get_catalog(q, p).realize(iso), (1, 0))
+    assert cls.consistent and cls.reason == ""
+    assert cls.dimension == -1 and cls.top_count == 0
+    assert cls.polynomial.coeffs == ()
+    assert sorted(cls.counts) == [2]  # the one count made, and it is 0
+    assert cls.counts[2] == 0
+
+
+def test_classify_needs_a_catalog():
+    # E6 has no catalog, so no chi and no decode
+    q = Quiver([1, 2, 3, 4, 5, 6], [(1, 2), (2, 3), (4, 3), (5, 4), (6, 3)])
+    with pytest.raises(CountError, match="catalog"):
+        classify(lambda p: Representation(q, PrimeField(p), (1,) * 6,
+                                          [PrimeField(p).eye(1)] * 5), (1,) * 6)
+
+
+def test_schedule_products_exceed_chi():
+    assert _schedule(0) == ([2], [])
+    assert _schedule(1) == ([2], [3, 5])
+    assert _schedule(135) == ([2, 3, 5, 7], [11, 13])
+    assert _schedule(3000) == ([2, 3, 5, 7, 11, 13], [17, 19])
+
+
+@given(coeffs=st.lists(st.integers(0, 250), min_size=1, max_size=13))
+@settings(max_examples=200, deadline=None)
+def test_decode_recovers_non_negative_polynomials(coeffs):
+    chi = sum(coeffs)
+    primes, heldout = _schedule(chi)
+    counts = {p: _value(coeffs, p) for p in primes}
+    assert decode(counts, chi) == _strip(coeffs)
+    got = _count_and_decode(lambda p: _value(coeffs, p), primes, heldout, chi, exact=True)
+    assert got[1:] == (_strip(coeffs), "")
+
+
+@given(coeffs=st.lists(st.integers(0, 40), min_size=1, max_size=9),
+       which=st.integers(0, 7), delta=st.sampled_from(["+1", "-1", "+p", "-p"]))
+@settings(max_examples=300, deadline=None)
+def test_single_count_perturbation_never_consistent(coeffs, which, delta):
+    chi = sum(coeffs)
+    primes, heldout = _schedule(chi)
+    schedule = primes + heldout
+    bad = schedule[which % len(schedule)]
+    shift = {"+1": 1, "-1": -1, "+p": bad, "-p": -bad}[delta]
+
+    def count_at(p):
+        return _value(coeffs, p) + (shift if p == bad else 0)
+
+    _, _, reason = _count_and_decode(count_at, primes, heldout, chi, exact=True)
+    assert reason.startswith(("decode failed", "held-out mismatch"))
+
+
+def test_decode_failure_and_mismatch_are_told_apart():
+    # q^2 + 1: chi = 2, decoded from p = 2, 3 and checked at 5, 7
+    assert decode({2: 5, 3: 10}, 2) == [1, 0, 1]
+    assert decode({2: 5, 3: 10}, 3) is None  # coefficients sum to 2, not 3
+    assert decode({2: 5, 3: 10}, 3, exact=False) == [1, 0, 1]
+    assert decode({2: 6, 3: 10}, 2) is None
+    with pytest.raises(CountError, match="too few"):
+        decode({2: 5}, 2)  # 2 does not exceed chi = 2
+    counts = {2: 5, 3: 10, 5: 26, 7: 51}
+    _, coeffs, reason = _count_and_decode(counts.get, [2, 3], [5, 7], 2, exact=True)
+    assert coeffs == [1, 0, 1] and reason.startswith("held-out mismatch at p=7")
+    counts[3] = 11
+    _, coeffs, reason = _count_and_decode(counts.get, [2, 3], [5, 7], 2, exact=True)
+    assert coeffs is None and reason.startswith("decode failed")
+
+
+def _newton_schedule(m_for_prime, e):
+    """Counts at 2, 3, 5, ... until Newton interpolation is consistent."""
+    counts = {}
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        counts[p] = count_points(m_for_prime(p), e, p)
+        if len(counts) >= 3:
+            poly, ok = interpolate(sorted(counts.items()))
+            if ok:
+                return poly
+    raise AssertionError("Newton interpolation never became consistent")
+
+
+@pytest.mark.parametrize("fixture", ["zigzag3_report", "p1xp1_report", "a4_report"])
+def test_decode_equals_newton_on_fixture_nodes(fixture, request):
+    report = request.getfixturevalue(fixture)
+    cfg = report.config
+    assert len(report.classifications) == len(report.poset.nodes)
+    for iso, cls in report.classifications.items():
+        def m_for_prime(p):
+            return cfg.catalog_at(p).realize(iso)
+        assert cls.consistent
+        assert cls.polynomial == _newton_schedule(m_for_prime, cfg.e)
+        assert euler_characteristic(m_for_prime(2), cfg.e) == cls.polynomial(1)
+
+
+@pytest.mark.parametrize("quiver", [
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)]),  # D4 into the center
+    Quiver([1, 2, 3, 4, 5], [(1, 2), (3, 2), (4, 2), (5, 4)]),  # D5
+])
+def test_chi_tables_equal_newton(quiver):
+    cat = get_catalog(quiver, 2)
+    for label in cat.labels:
+        for f in itertools.product(*(range(x + 1) for x in label.dims)):
+            nodes = [(p, count_points(get_catalog(quiver, p).models[label], f, p))
+                     for p in (2, 3, 5, 7, 11)]
+            poly, ok = interpolate(nodes)
+            assert ok or all(c == 0 for _, c in nodes)
+            assert _indecomposable_chi(quiver, label, f) == poly(1)
