@@ -3,8 +3,9 @@
 For a Dynkin quiver the indecomposables biject with positive roots.  The
 catalog holds one canonical matrix model per positive root, generated by a
 deterministic chain of reflection functors from simples, so every run is
-bit-reproducible.  Isoclasses are multisets of catalog labels; ``decompose``
-inverts ``realize`` through Hom-dimension fingerprints.
+bit-reproducible.  Isoclasses are multisets of catalog labels; ``realize``
+records the isoclass on the module it builds, and ``decompose`` recovers it
+from any module through Hom-dimension fingerprints.
 """
 
 from __future__ import annotations
@@ -274,15 +275,16 @@ class Catalog:
     # realize / decompose
 
     def realize(self, iso: Isoclass) -> Representation:
-        """Direct sum of catalog models with the isoclass multiplicities."""
+        """Direct sum of catalog models with the isoclass multiplicities; the
+        result records ``iso`` as its ``isoclass``."""
         summands = []
         for label, mult in iso.counts.items():
             if label not in self.models:
                 raise CatalogError(f"label {label} not in catalog")
             summands.extend([self.models[label]] * mult)
-        if not summands:
-            return zero_rep(self.quiver, self.field)
-        return direct_sum(*summands)
+        m = direct_sum(*summands) if summands else zero_rep(self.quiver, self.field)
+        m.isoclass = iso
+        return m
 
     def fingerprint(self, m: Representation) -> np.ndarray:
         """f[a] = dim Hom(X_a, M) for every catalog indecomposable X_a."""

@@ -2,7 +2,12 @@
 
 ``count_points`` runs a tree dynamic program that eliminates leaves with
 closed-form subspace counts where possible; ``brute_force_count`` is the
-slow independent oracle.  ``classify`` decodes the counting polynomial
+slow independent oracle.  When the root is a point root (its subspaces are
+the lines or the hyperplanes of M_v) and every neighbour is a leaf, each
+leaf message takes one value on the points inside a subspace Z_c and one
+outside, so the root sum is an inclusion-exclusion over the ranks of
+intersections of the Z_c and no subspace is enumerated
+(``_point_root_sum``).  ``classify`` decodes the counting polynomial
 P(q) = sum c_i q^i, whose degree and leading coefficient classify the
 variety (dimension, number of top-dimensional components).  Dynkin quiver
 Grassmannians have affine pavings, so every c_i >= 0 and sum c_i = P(1) =
@@ -195,7 +200,11 @@ def count_points(m: Representation, e, p: int, *,
                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
     """|Gr_e(M)(F_p)|: tuples of subspaces U_i with M_a(U_{s(a)}) in U_{t(a)}.
 
-    ``p`` must be the prime of ``m.field``."""
+    ``p`` must be the prime of ``m.field``.  A root with e_v = 1 or
+    e_v = d_v - 1 (0 < e_v < d_v) whose neighbours are all leaves is summed
+    in closed form by ``_point_root_sum``; any other root runs the leaf
+    messages and pair messages of the DP.  ``enum_budget`` bounds only the
+    enumerations actually built, so a point root never trips it."""
     q = m.quiver
     e = q.check_dimvector(e)
     for i in range(q.n):
@@ -209,6 +218,15 @@ def count_points(m: Representation, e, p: int, *,
     def enum(v: int) -> SubspaceEnum:
         return enumerate_subspaces(e[v], m.dims[v], f, budget=enum_budget)
 
+    def leaf_values(child: int, v: int) -> list:
+        """Message values of the leaf ``child`` into v: the number of U_child
+        compatible with U_v, indexed by dim A^{-1}(U_v) for an arrow
+        A: child -> v and by dim B(U_v) for an arrow B: v -> child."""
+        dc, ec = m.dims[child], e[child]
+        if q.source(_edge_arrow(q, child, v)) == child:
+            return [gauss[n][ec] for n in range(dc + 1)]
+        return [gauss[dc - r][ec - r] if r <= ec else 0 for r in range(min(e[v], dc) + 1)]
+
     def closed_message(child: int, v: int) -> _Coded:
         """Message of an unweighted leaf ``child`` into ``v``, per U_v."""
         a = _edge_arrow(q, child, v)
@@ -216,10 +234,7 @@ def count_points(m: Representation, e, p: int, *,
         if q.source(a) == child:  # arrow child -> v, map A: M_child -> M_v
             # dim of the preimage of U under A, then count subspaces inside
             dim_sum = _sum_dims_with_fixed(ev, m.maps[a].T, f)
-            dpre = m.dims[child] - dim_sum + e[v]
-            values = [gauss[n][e[child]] if 0 <= n <= m.dims[child] else 0
-                      for n in range(m.dims[child] + 1)]
-            return _Coded(dpre, values)
+            return _Coded(m.dims[child] - dim_sum + e[v], leaf_values(child, v))
         # arrow v -> child, map B: M_v -> M_c: count U_c containing B(U_v)
         B = m.maps[a]
         r = np.empty(ev.size, dtype=np.int64)
@@ -227,10 +242,38 @@ def count_points(m: Representation, e, p: int, *,
             hi = min(lo + _CHUNK, ev.size)
             bu = ev.bases[lo:hi].astype(np.int64)
             r[lo:hi] = f.batched_rank(np.einsum("nij,kj->nik", bu, B))  # reduces its input
-        dc, ec = m.dims[child], e[child]
-        values = [gauss[dc - rr][ec - rr] if rr <= ec else 0
-                  for rr in range(min(e[v], dc) + 1)]
-        return _Coded(r, values)
+        return _Coded(r, leaf_values(child, v))
+
+    def point_leaf(child: int, v: int) -> tuple[np.ndarray, int, int]:
+        """The leaf ``child`` at a point root v as (rows, g0, g1) for
+        ``_point_root_sum``.
+
+        The message reads only t = dim(U_v & Y), where Y = im A is the row
+        space of W = A^T for an arrow A: child -> v, and Y = ker B is cut out
+        by W = B for an arrow B: v -> child.  A line U_v = <u> has
+        t = [u in Y], cut out by rows annihilating Y; a hyperplane
+        U_v = ker phi has t = dim Y - 1 + [phi kills Y], cut out by rows
+        spanning Y.
+        """
+        a = _edge_arrow(q, child, v)
+        into = q.source(a) == child
+        w = m.maps[a].T if into else m.maps[a]
+        line = e[v] == 1
+        if line == into:  # the rows are the other side of W: its kernel
+            rows = f.kernel_basis(w).T
+            rank_w = m.dims[v] - rows.shape[0]
+        else:
+            rows, rank_w = w, f.rank(w)
+        dim_y = rank_w if into else m.dims[v] - rank_w
+        values = leaf_values(child, v)
+
+        def g(bit: int) -> int:
+            t = bit if line else dim_y - 1 + bit
+            k = m.dims[child] - dim_y + t if into else e[v] - t
+            # a bit no U_v takes may index past the table; its value is unread
+            return values[k] if 0 <= k < len(values) else 0
+
+        return rows, g(0), g(1)
 
     def pair_message(child: int, v: int, w_child: np.ndarray) -> np.ndarray:
         """Fallback: explicit containment sum for a weighted child."""
@@ -277,12 +320,40 @@ def count_points(m: Representation, e, p: int, *,
                 msgs.append(pair_message(c, v, _Coded.combine_to_object(below)))
         return msgs
 
+    dv = m.dims[root]
+    if 0 < e[root] < dv and e[root] in (1, dv - 1) and all(len(adj[c]) == 1 for c in adj[root]):
+        return _point_root_sum(f, dv, [point_leaf(c, root) for c in adj[root]])
     msgs = subtree(root, -1)
     if msgs is None:
         return int(gaussian_binomial(m.dims[root], e[root], p))
     if all(isinstance(x, _Coded) for x in msgs):
         return _Coded.combine_and_sum(msgs)
     return int(sum(_Coded.combine_to_object(msgs)))
+
+
+def _point_root_sum(f: PrimeField, d: int, leaves: list[tuple[np.ndarray, int, int]]) -> int:
+    """Sum over the points x of P(F_p^d) of prod_c g_c(x), where the leaf
+    c = (rows, g0, g1) has g_c(x) = g1 for x in the subspace Z_c that
+    ``rows`` cut out and g0 elsewhere.
+
+    Writing g_c = g0 + [x in Z_c] (g1 - g0) and expanding the product gives
+    the sum over subsets T of the leaves of prod_{c not in T} g0_c *
+    prod_{c in T} (g1_c - g0_c) * |P(Z_T)|, where Z_T, the intersection of
+    the Z_c with c in T, has dimension d - rank(rows of T): 2^k small ranks
+    in place of an enumeration of P(F_p^d).
+    """
+    subsets = np.array(list(itertools.product((0, 1), repeat=len(leaves))), dtype=np.int64)
+    rows = np.concatenate([r for r, _, _ in leaves] + [np.zeros((0, d), dtype=np.int64)])
+    owner = np.repeat(np.arange(len(leaves)), [r.shape[0] for r, _, _ in leaves])
+    # one stack per subset T: the rows of the leaves outside T zeroed
+    ranks = f.batched_rank(rows[None, :, :] * subsets[:, owner][:, :, None])
+    total = 0
+    for bits, rank in zip(subsets.tolist(), ranks.tolist()):
+        weight = 1
+        for bit, (_, g0, g1) in zip(bits, leaves):
+            weight *= g1 - g0 if bit else g0
+        total += weight * ((f.p ** (d - rank) - 1) // (f.p - 1))
+    return total
 
 
 def _edge_arrow(q: Quiver, u: int, v: int) -> int:
@@ -510,13 +581,17 @@ def euler_characteristic(m: Representation, e) -> int:
     chi is multiplicative over direct sums, chi(Gr_e(M + N)) =
     sum over f + g = e of chi(Gr_f(M)) chi(Gr_g(N)), so it is a knapsack
     over the summands reading one table entry per (indecomposable, f).
+    The summands are ``m.isoclass`` when recorded (``Catalog.realize``),
+    else ``Catalog.decompose``.
     """
     q = m.quiver
     e = q.check_dimvector(e)
-    try:
-        iso = get_catalog(q, m.field.p).decompose(m)
-    except CatalogError as exc:
-        raise CountError(f"chi needs a catalog of the quiver: {exc}") from exc
+    iso = m.isoclass
+    if iso is None:
+        try:
+            iso = get_catalog(q, m.field.p).decompose(m)
+        except CatalogError as exc:
+            raise CountError(f"chi needs a catalog of the quiver: {exc}") from exc
     chis = {(0,) * q.n: 1}  # partial sub-dimension vector -> chi
     for label, mult in iso.counts.items():
         for _ in range(mult):

@@ -25,6 +25,9 @@ class Representation:
         self.quiver = quiver
         self.field = field
         self.dims = quiver.check_dimvector(dims)
+        # the catalog Isoclass this module is a direct sum of, when known
+        # (``Catalog.realize`` records it); None means "decompose to find out"
+        self.isoclass = None
         self.maps: list[np.ndarray] = []
         maps = maps if maps is not None else {}
         for a, (s, t) in enumerate(quiver.arrows):

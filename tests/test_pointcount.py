@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivergrass.catalog import Isoclass, get_catalog
+from quivergrass.lab import PrincipalConfig
 from quivergrass.linalg import PrimeField, gaussian_binomial
 from quivergrass.pointcount import (
     CountError,
     CountingPolynomial,
+    _choose_root,
     _count_and_decode,
     _indecomposable_chi,
     _schedule,
@@ -21,6 +23,7 @@ from quivergrass.pointcount import (
     euler_characteristic,
     interpolate,
 )
+from quivergrass.poset import enumerate_isoclasses
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass.reps import Representation
 
@@ -297,3 +300,87 @@ def test_chi_tables_equal_newton(quiver):
             poly, ok = interpolate(nodes)
             assert ok or all(c == 0 for _, c in nodes)
             assert _indecomposable_chi(quiver, label, f) == poly(1)
+
+
+# -- point roots: lines and hyperplanes at the center of a star ------------
+
+# stars with the center listed first: it is then always the root, since the
+# root's cost ties break towards the smaller index
+STARS = [
+    Quiver([2, 1, 3, 4], [(1, 2), (3, 2), (4, 2)]),  # D4 into the center
+    Quiver([2, 1, 3, 4], [(2, 1), (2, 3), (2, 4)]),  # D4 out of the center
+    Quiver([2, 1, 3, 4], [(1, 2), (2, 3), (2, 4)]),  # D4 subspace orientation
+    Quiver([2, 1, 3], [(1, 2), (3, 2)]),  # zigzag A3
+]
+
+
+def _random_map(rng, f, rows, cols):
+    """A random matrix of random rank, so that images and kernels vary."""
+    r = int(rng.integers(0, min(rows, cols) + 1))
+    return f.mul(rng.integers(0, f.p, (rows, r)), rng.integers(0, f.p, (r, cols)))
+
+
+@pytest.mark.parametrize("quiver", STARS)
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_point_root_equals_brute_force(quiver, seed, p):
+    rng = np.random.default_rng(seed)
+    f = PrimeField(p)
+    dims = [int(rng.integers(2, 5))] + [int(rng.integers(0, 4)) for _ in range(quiver.n - 1)]
+    m = Representation(quiver, f, dims,
+                       [_random_map(rng, f, dims[t], dims[s]) for s, t in quiver.arrows])
+    e = [int(rng.choice([1, dims[0] - 1]))] + [int(rng.integers(0, dv + 1)) for dv in dims[1:]]
+    assert _choose_root(quiver, m.dims, e, p) == 0
+    # the point root enumerates nothing, so no budget can trip
+    assert count_points(m, e, p, enum_budget=1) == brute_force_count(m, e, p)
+
+
+def _star_oracle(m, e, center):
+    """Sum over U in Gr(e_center, M_center) of the product over the leaves
+    of the number of compatible U_leaf, from the ranks of each U."""
+    f, q = m.field, m.quiver
+    en = enumerate_subspaces(e[center], m.dims[center], f)
+    u = en.bases.astype(np.int64)
+    weights = np.ones(en.size, dtype=object)
+    for a, (s, t) in enumerate(q.arrows):
+        leaf = s if t == center else t
+        dl, el = m.dims[leaf], e[leaf]
+        if t == center:  # U_leaf inside the preimage of U under A, whose
+            # dimension is dim M_leaf - dim(U + im A) + dim U
+            span = np.broadcast_to(m.maps[a].T, (en.size, dl, m.dims[center]))
+            pre = dl - f.batched_rank(np.concatenate([u, span], axis=1)) + e[center]
+            counts = [gaussian_binomial(n, el, f.p) if el <= n else 0 for n in pre]
+        else:  # U_leaf containing B(U)
+            ranks = f.batched_rank(u @ m.maps[a].T)
+            counts = [gaussian_binomial(dl - r, el - r, f.p) if r <= el else 0 for r in ranks]
+        weights *= np.array(counts, dtype=object)
+    return int(weights.sum())
+
+
+@pytest.mark.parametrize("arrows", [[(1, 2), (3, 2), (4, 2)], [(2, 1), (2, 3), (2, 4)]])
+def test_point_root_equals_subspace_loop_on_d4_nodes(arrows):
+    cfg = PrincipalConfig(Quiver([1, 2, 3, 4], arrows), (1, 1, 1, 1), (1, 1, 1, 1))
+    nodes = enumerate_isoclasses(cfg.catalog, cfg.d)
+    assert cfg.e[1] in (1, cfg.d[1] - 1)
+    for iso in nodes[:: len(nodes) // 6][:6]:  # six nodes spread over the family
+        for p in (5, 7):
+            m = cfg.catalog_at(p).realize(iso)
+            assert count_points(m, cfg.e, p, enum_budget=1) == _star_oracle(m, cfg.e, 1)
+
+
+def test_point_root_ignores_enum_budget(d4_center_cfg):
+    cfg = d4_center_cfg
+    iso = cfg.poset.minimal_element()
+    m = cfg.catalog_at(2).realize(iso)
+    assert count_points(m, cfg.e, 2, enum_budget=1) == brute_force_count(m, cfg.e, 2)
+
+
+@pytest.mark.parametrize("cfg_name", ["zigzag3_cfg", "d4_center_cfg"])
+def test_recorded_isoclass_gives_the_decomposed_chi(cfg_name, request):
+    cfg = request.getfixturevalue(cfg_name)
+    for iso in cfg.poset.nodes:
+        m = cfg.catalog_at(2).realize(iso)
+        assert m.isoclass == iso
+        copy = Representation(m.quiver, m.field, m.dims, m.maps)
+        assert copy.isoclass is None
+        assert euler_characteristic(m, cfg.e) == euler_characteristic(copy, cfg.e)
