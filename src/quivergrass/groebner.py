@@ -5,13 +5,16 @@ ring's own (vertex-major, colex within a vertex) with the first variable
 largest.  Ideals here are small enough (tens of variables, quadric
 generators) that a careful dense-exponent implementation is fast enough.
 Hilbert function values count standard monomials (Macaulay's theorem) block
-by block, without listing the candidate monomials.
+by block, without listing the candidate monomials.  The work is kept per
+basis, not per multidegree: the tables of one block layout and one tuple of
+leading terms serve every multidegree asked of them, and the last two such
+tables stay cached.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import json
 import math
 from collections import Counter
@@ -217,47 +220,142 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     """dim of the multidegree-m graded piece of the quotient ring.
 
     Counts multidegree-m monomials outside the leading-term ideal; needs a
-    basis truncated at total degree >= sum(m).  A candidate is one degree-m_i
-    monomial per vertex block, and a lead divides it exactly when the lead's
-    part in every block divides that block's factor.  Each block's monomials
-    map to bitmasks of the leads dividing them there, grouped with counts;
-    the blocks fold under bitwise AND and candidates ending at mask 0 are
-    standard.  Cost: sum_i n_i * P_i * k_i (n_i block monomials, P_i distinct
-    lead parts, k_i variables) plus the fold over distinct masks.  ``budget``
-    caps the candidate count prod_i C(k_i + m_i - 1, m_i) before any work.
+    basis truncated at total degree >= sum(m).  ``budget`` caps the candidate
+    count prod_i C(k_i + m_i - 1, m_i) (k_i variables in block i) before any
+    work.  The count is read from ``_lead_tables``, keyed by the block layout
+    and the leads and cached for the last two keys.  Per (basis, block i,
+    degree d) it builds the block masks once: n_{i,d} * k_i ORs over the
+    n_{i,d} degree-d monomials, leads inside block i striking monomials
+    instead of taking a bit.  Per multidegree prefix it folds once: the
+    states of the shorter prefix times the distinct masks of the new block.
+    A call then costs one pass over the states of m[:-1] times the distinct
+    masks of the last block.
     """
     m = ring.quiver.check_dimvector(m)
-    blocks = [(lo, hi, deg) for (lo, hi), deg in zip(ring.block, m)]
-    total = math.prod(math.comb(hi - lo + deg - 1, deg) for lo, hi, deg in blocks)
+    total = math.prod(math.comb(hi - lo + deg - 1, deg)
+                      for (lo, hi), deg in zip(ring.block, m))
     if total > budget:
         raise GroebnerError(
             f"{total} candidate monomials of multidegree {list(m)} "
             f"exceed the budget {budget}")
-    # a lead of degree > m_i in some block divides no candidate
-    leads = [g.lead for g in basis
-             if all(sum(g.lead[lo:hi]) <= deg for lo, hi, deg in blocks)]
-    folded = Counter({(1 << len(leads)) - 1: 1})
-    for lo, hi, deg in blocks:
-        part_masks: dict[tuple, int] = {}
-        for bit, lead in enumerate(leads):
-            part = lead[lo:hi]
-            part_masks[part] = part_masks.get(part, 0) | (1 << bit)
-        block_masks: Counter = Counter()
-        for combo in itertools.combinations_with_replacement(range(hi - lo), deg):
-            exps = [0] * (hi - lo)
-            for idx in combo:
-                exps[idx] += 1
-            mask = 0
-            for part, bits in part_masks.items():
-                if _divides(part, exps):
-                    mask |= bits
-            block_masks[mask] += 1
-        step: Counter = Counter()
-        for a, ca in folded.items():
-            for b, cb in block_masks.items():
-                step[a & b] += ca * cb
-        folded = step
-    return folded[0]
+    # a list-built key: tuple() of a generator over-allocates and resizes
+    return _lead_tables(tuple(ring.block), tuple([g.lead for g in basis])).count(m)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(k: int, d: int) -> tuple[dict, list]:
+    """The degree-d monomials of k variables as {exponents: position}, and
+    for each the positions of its degree-(d-1) divisors x / x_v."""
+    if d == 0:
+        return {(0,) * k: 0}, [()]
+    lower, _ = _monomials(k, d - 1)
+    index: dict[tuple, int] = {}
+    for y in lower:
+        # raise only variables from y's last one on: each x is made once
+        last = max((v for v in range(k) if y[v]), default=0)
+        for v in range(last, k):
+            index[y[:v] + (y[v] + 1,) + y[v + 1:]] = len(index)
+    divisors = [tuple(lower[x[:v] + (x[v] - 1,) + x[v + 1:]]
+                      for v in range(k) if x[v]) for x in index]
+    return index, divisors
+
+
+class _LeadTables:
+    """Standard-monomial counts for one block layout and one list of leads.
+
+    A candidate is one degree-m_i monomial per block, and a lead divides it
+    exactly when the lead's part in every block divides that block's factor.
+    A lead whose support lies in one block (a constant lead counts as block
+    0) strikes the block monomials it divides.  Every other lead gets a bit;
+    a block monomial's mask holds the bits of the leads whose part there
+    divides it, built degree by degree as the bits of the leads whose part
+    equals it OR the masks of its divisors x / x_v.  The blocks fold under
+    bitwise AND, and candidates ending at mask 0 are standard.  Masks are
+    kept per (block, degree) and folds per multidegree prefix; a partial
+    fold drops a state holding the bit of a lead whose last block is folded,
+    since no later block clears it.
+    """
+
+    def __init__(self, blocks: tuple, leads: tuple):
+        self.blocks = blocks
+        self.bits = [{} for _ in blocks]  # per block: {lead part: bits}
+        self.struck = [set() for _ in blocks]  # per block: in-block lead parts
+        self.done = [0] * len(blocks)  # bits of leads with last block <= i
+        nbits = 0
+        for lead in leads:
+            touched = [i for i, (lo, hi) in enumerate(blocks) if any(lead[lo:hi])]
+            if len(touched) <= 1:
+                i = touched[0] if touched else 0
+                lo, hi = blocks[i]
+                self.struck[i].add(lead[lo:hi])
+                continue
+            bit = 1 << nbits
+            nbits += 1
+            for i, (lo, hi) in enumerate(blocks):
+                part = lead[lo:hi]
+                self.bits[i][part] = self.bits[i].get(part, 0) | bit
+                if i >= touched[-1]:
+                    self.done[i] |= bit
+        self.masks: list[list] = [[] for _ in blocks]  # [i][d]: None if struck
+        self.counts: dict[tuple, list] = {}  # (i, d): [(mask, monomials)]
+        self.folds: dict[tuple, dict] = {(): {(1 << nbits) - 1: 1}}
+
+    def _block(self, i: int, d: int) -> list:
+        """(mask, count) over the unstruck degree-d monomials of block i."""
+        if (i, d) in self.counts:
+            return self.counts[i, d]
+        lo, hi = self.blocks[i]
+        levels = self.masks[i]
+        while len(levels) <= d:
+            index, divisors = _monomials(hi - lo, len(levels))
+            below = levels[-1] if levels else []
+            level = []
+            for divs in divisors:
+                mask = 0
+                for j in divs:
+                    if below[j] is None:
+                        mask = None
+                        break
+                    mask |= below[j]
+                level.append(mask)
+            for part, bits in self.bits[i].items():
+                j = index.get(part)
+                if j is not None and level[j] is not None:
+                    level[j] |= bits
+            for part in self.struck[i]:
+                if part in index:
+                    level[index[part]] = None
+            levels.append(level)
+        self.counts[i, d] = out = list(
+            Counter(mask for mask in levels[d] if mask is not None).items())
+        return out
+
+    def _fold(self, prefix: tuple) -> dict:
+        """{mask: candidates} over the blocks of the prefix, dead states dropped."""
+        states = self.folds.get(prefix)
+        if states is None:
+            i = len(prefix) - 1
+            done = self.done[i]
+            states = {}
+            for a, ca in self._fold(prefix[:-1]).items():
+                for b, cb in self._block(i, prefix[-1]):
+                    s = a & b
+                    if not s & done:
+                        states[s] = states.get(s, 0) + ca * cb
+            self.folds[prefix] = states
+        return states
+
+    def count(self, m: tuple) -> int:
+        # the last block is summed straight to the mask-0 candidates
+        last = self._block(len(m) - 1, m[-1])
+        return sum(ca * cb for a, ca in self._fold(m[:-1]).items()
+                   for b, cb in last if not a & b)
+
+
+@functools.lru_cache(maxsize=2)
+def _lead_tables(blocks: tuple, leads: tuple) -> _LeadTables:
+    """The tables of one (block layout, leads); two bases stay warm."""
+    return _LeadTables(blocks, leads)
 
 
 def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees) -> list[dict]:

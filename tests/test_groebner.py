@@ -1,10 +1,12 @@
 import itertools
 import operator
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivergrass import groebner
 from quivergrass.groebner import (
     GPoly,
     GroebnerError,
@@ -65,12 +67,16 @@ def monomial_basis(leads, p=107):
     return [gp({tuple(lead): 1}, p) for lead in leads]
 
 
+def leads_on(ring):
+    lead = st.lists(st.integers(0, 2), min_size=len(ring), max_size=len(ring))
+    return st.lists(lead, max_size=12)
+
+
 @st.composite
 def monomial_ideals(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     ring = layout_ring(sizes)
-    lead = st.lists(st.integers(0, 2), min_size=len(ring), max_size=len(ring))
-    leads = draw(st.lists(lead, max_size=12))
+    leads = draw(leads_on(ring))
     m = draw(st.lists(st.integers(0, 3), min_size=len(sizes), max_size=len(sizes)))
     return ring, monomial_basis(leads), tuple(m)
 
@@ -157,6 +163,43 @@ def test_hilbert_component_matches_oracle_on_random_monomial_ideals(case):
     assert hilbert_component(ring, basis, m) == brute_hilbert(ring, basis, m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hilbert_component_shared_tables_on_interleaved_bases(data):
+    # every multidegree <= 2 in a shuffled order, two bases interleaved
+    # (A, B, A): the calls share block masks and prefix folds, and earlier
+    # examples' tables are evicted from the two-entry cache
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    ring = layout_ring(sizes)
+    first = monomial_basis(data.draw(leads_on(ring)))
+    second = monomial_basis(data.draw(leads_on(ring)))
+    degrees = data.draw(st.permutations(list(itertools.product(range(3), repeat=len(sizes)))))
+    for m in degrees:
+        expected = {id(b): brute_hilbert(ring, b, m) for b in (first, second)}
+        for basis in (first, second, first):
+            assert hilbert_component(ring, basis, m) == expected[id(basis)]
+    assert groebner._lead_tables.cache_info().currsize <= 2
+
+
+def test_hilbert_component_constant_lead():
+    ring = layout_ring([3, 1, 2])
+    for leads in [[(0,) * 6], [(0,) * 6, (1, 0, 0, 0, 1, 0)]]:
+        basis = monomial_basis(leads)
+        for m in itertools.product(range(3), repeat=3):
+            assert hilbert_component(ring, basis, m) == 0
+
+
+def test_hilbert_component_tables_keyed_by_block_layout():
+    # x0*x2 spans two blocks of [2, 3] but lies in the first block of [3, 2]
+    split, joined = layout_ring([2, 3]), layout_ring([3, 2])
+    leads = [(1, 0, 1, 0, 0)]
+    for m, values in [((1, 1), (5, 6)), ((2, 0), (3, 5)), ((2, 1), (7, 10))]:
+        for ring, value in zip((split, joined), values):
+            basis = monomial_basis(leads)
+            assert brute_hilbert(ring, basis, m) == value
+            assert hilbert_component(ring, basis, m) == value
+
+
 def test_hilbert_component_edge_cases():
     ring = layout_ring([3, 1, 4])  # the middle block is Gr(0, 1): one variable
     basis = monomial_basis([(1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 2, 0)])
@@ -206,6 +249,36 @@ def test_hilbert_component_budget_error_names_both_numbers():
     with pytest.raises(GroebnerError, match=r"\b6\b.*\b1\b"):
         hilbert_component(ring, [], (1, 1), budget=1)
     assert hilbert_component(ring, [], (1, 1), budget=6) == 6
+
+
+def test_hilbert_component_budget_checked_before_any_table():
+    ring = layout_ring([3, 2])
+    basis = monomial_basis([(1, 0, 0, 1, 0), (0, 2, 0, 0, 0)])
+    misses = groebner._lead_tables.cache_info().misses
+    with pytest.raises(GroebnerError):
+        hilbert_component(ring, basis, (2, 2), budget=17)
+    assert groebner._lead_tables.cache_info().misses == misses
+
+
+def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
+    # perfbench/run.py:clear_caches calls cache_clear on every module-level
+    # callable of quivergrass that has one, so each memo must be such a cache
+    ring = layout_ring([3, 2])
+    hilbert_table(ring, [], 107, [(1, 1), (2, 1)])
+    hilbert_component(ring, monomial_basis([(1, 0, 0, 1, 0)]), (2, 2))
+    module = sys.modules["quivergrass.groebner"]
+    cleared = []
+    for name, obj in vars(module).items():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+            cleared.append(name)
+    assert {"_lead_tables", "_monomials"} <= set(cleared)
+    for name in cleared:
+        assert getattr(module, name).cache_info().currsize == 0, name
+    # no memo outside those caches: no filled module-level container
+    held = [name for name, obj in vars(module).items()
+            if not name.startswith("__") and isinstance(obj, (dict, list, set)) and obj]
+    assert held == []
 
 
 def test_hilbert_values_flag_example():
