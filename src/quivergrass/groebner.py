@@ -2,8 +2,11 @@
 
 Monomial order is graded reverse lexicographic; the variable order is the
 ring's own (vertex-major, colex within a vertex) with the first variable
-largest.  Ideals here are small enough (tens of variables, quadric
-generators) that a careful dense-exponent implementation is fast enough.
+largest.  Inside Buchberger a monomial is one Python int (``_Packing``):
+integer order is grevlex, a product by a monomial is an addition,
+divisibility is a subtraction and a guard-mask test, and an lcm is a mask
+select.  Exponent tuples (``GPoly``) appear only where polynomials enter and
+leave.
 Hilbert function values count standard monomials (Macaulay's theorem) block
 by block, without listing the candidate monomials.  The work is kept per
 basis, not per multidegree: the tables of one block layout and one tuple of
@@ -17,6 +20,7 @@ import functools
 import heapq
 import json
 import math
+import struct
 from collections import Counter
 
 from .linalg import PrimeField
@@ -49,61 +53,113 @@ class GPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    @classmethod
-    def from_mpoly(cls, f: MPoly, nvars: int, p: int) -> "GPoly":
-        out: dict = {}
-        for mono, c in f.coeffs.items():
-            exps = [0] * nvars
-            for idx in mono:
-                exps[idx] += 1
-            key = tuple(exps)
-            out[key] = out.get(key, 0) + c
-        return cls(out, p)
+
+class _Packing:
+    """Monomials of ``nvars`` variables and degree <= ``cap`` as Python ints.
+
+    Exponent e_i fills byte-wide field i of E (the last variable's field most
+    significant) below the field's top bit, a guard.  The key is
+    (deg << nb) | (FULL - E), FULL holding every field's largest guard-free
+    value.  So key order is grevlex; keys are affine, a product by m / l
+    adding key(m) - key(l) to each; a divides b exactly when the low nb bits
+    of key(a) - key(b), which are E(b) - E(a), borrow into no guard; and the
+    lcm's low bits are the field-wise minimum of the low bits, a mask select.
+    """
+
+    def __init__(self, nvars: int, cap: int):
+        size = next((s for s in (1, 2, 4, 8) if cap < 1 << (8 * s - 1)), None)
+        if size is None:
+            raise GroebnerError(f"degree {cap} exceeds 63-bit exponent fields")
+        self.n, self.w, self.nb = nvars, 8 * size, 8 * size * nvars
+        self.cap = (1 << (self.w - 1)) - 1
+        self.struct = struct.Struct(f"<{nvars}{'BHIQ'[size.bit_length() - 1]}")
+        self.units = [1 << (self.w * i) for i in range(nvars)]
+        ones = sum(self.units)
+        self.ones, self.full, self.guard = ones, self.cap * ones, (self.cap + 1) * ones
+
+    def pack(self, exps) -> int:
+        e = int.from_bytes(self.struct.pack(*exps), "little")
+        return (sum(exps) << self.nb) | (self.full - e)
+
+    def unpack(self, key: int) -> tuple:
+        e = self.full - (key & self.full)
+        return self.struct.unpack(e.to_bytes(self.struct.size, "little"))
+
+    def lcm(self, a: int, b: int) -> int:
+        full = self.full
+        a, b = a & full, b & full  # the low bits, FULL - E
+        sel = ((a | self.guard) - b) & self.guard  # guards where b's exponent is larger
+        sel -= sel >> (self.w - 1)
+        low = (b & sel) | (a & ~sel)
+        # field n-1 of E * ones sums the fields of E: the degree, below 2 ** w
+        deg = ((full - low) * self.ones >> (self.nb - self.w)) & ((1 << self.w) - 1)
+        return (deg << self.nb) | low
+
+    def monic(self, terms: dict, field: PrimeField) -> tuple[int, list]:
+        """(lead key, tail as [(key, -coefficient)]) of the monic multiple."""
+        lead, p = max(terms), field.p
+        inv = field.inv_scalar(terms[lead])
+        return lead, [(k, -c * inv % p) for k, c in terms.items() if k != lead]
+
+    def gpoly(self, terms: dict) -> GPoly:
+        """The GPoly of reduced nonzero {key: coefficient} terms."""
+        g = GPoly.__new__(GPoly)  # the lead is the largest key: no grevlex sort
+        g.coeffs = {self.unpack(k): c for k, c in terms.items()}
+        g.lead = self.unpack(max(terms)) if terms else None
+        return g
+
+    def widen(self, cap: int, basis: list) -> tuple["_Packing", list]:
+        """A packing for degree <= cap and the basis moved into it."""
+        wide = _Packing(self.n, cap)
+        return wide, [(wide.pack(self.unpack(lead)),
+                       [(wide.pack(self.unpack(k)), c) for k, c in tail]) for lead, tail in basis]
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _packed(polys: list[GPoly], field: PrimeField, degree: int = 0) -> tuple:
+    """A packing that holds the polys (one at least nonzero) and the monic
+    packed forms of the nonzero ones."""
+    polys = [g for g in polys if g]
+    pk = _Packing(len(polys[0].lead), max([degree] + [sum(g.lead) for g in polys]))
+    return pk, [pk.monic({pk.pack(m): c for m, c in g.coeffs.items()}, field) for g in polys]
 
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+def _reduce(terms: dict, basis: list, p: int, guard: int) -> dict:
+    """Remainder of ``terms`` on division by the monic basis [(lead, tail)].
 
-
-def _mono_div(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    Leading terms come off a max-heap of keys; a term that cancels keeps its
+    key and a zero coefficient, and is skipped when it surfaces.
+    """
+    work = dict(terms)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    remainder: dict = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lead, tail in basis:
+            if not (lead - m) & guard:
+                shift = m - lead
+                for k, gc in tail:
+                    k += shift
+                    if k not in work:
+                        work[k] = 0
+                        heapq.heappush(heap, -k)
+                    work[k] = (work[k] + c * gc) % p
+                break
+        else:
+            remainder[m] = c
+    return remainder
 
 
 def normal_form(f: GPoly, basis: list[GPoly], field: PrimeField) -> GPoly:
     """Remainder of f on division by the basis (monomial order above)."""
-    p = field.p
-    work = dict(f.coeffs)
-    remainder: dict = {}
-    while work:
-        m = max(work, key=_grevlex_key)
-        c = work[m] % p
-        if not c:
-            del work[m]
-            continue
-        for g in basis:
-            if g.lead is not None and _divides(g.lead, m):
-                shift = _mono_div(m, g.lead)
-                factor = (c * field.inv_scalar(g.coeffs[g.lead])) % p
-                for gm, gc in g.coeffs.items():
-                    key = _mono_mul(gm, shift)
-                    val = (work.get(key, 0) - factor * gc) % p
-                    if val:
-                        work[key] = val
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            remainder[m] = c
-            del work[m]
-    return GPoly(remainder, p)
+    if not f:
+        return GPoly({}, field.p)
+    pk, packed = _packed([f] + basis, field)
+    return pk.gpoly(_reduce({pk.pack(m): c for m, c in f.coeffs.items()}, packed[1:],
+                            field.p, pk.guard))
 
 
 def buchberger(gens: list[GPoly], field: PrimeField, *, max_degree: int | None = None,
@@ -114,68 +170,82 @@ def buchberger(gens: list[GPoly], field: PrimeField, *, max_degree: int | None =
     S-pairs are processed in increasing lcm degree so truncation is sound.
     Raises GroebnerError when the pair budget is exhausted.
     """
+    if not any(gens):
+        return []
+    pk, basis = _packed(gens, field, max_degree or 0)
+    return _buchberger(pk, basis, field, max_degree, pair_budget)
+
+
+def _buchberger(pk: _Packing, basis: list, field: PrimeField,
+                max_degree: int | None, pair_budget: int) -> list[GPoly]:
+    """``buchberger`` on a monic packed basis [(lead, tail)] held by ``pk``;
+    an untruncated run re-packs wider when a pair outgrows it."""
     p = field.p
-    basis = [g for g in gens if g]
-    heap = [
-        (sum(_lcm(basis[i].lead, basis[j].lead)), i, j)
-        for i in range(len(basis))
-        for j in range(i)
-    ]
+    heap = [(pk.lcm(basis[i][0], basis[j][0]) >> pk.nb, i, j)
+            for i in range(len(basis)) for j in range(i)]
     heapq.heapify(heap)
     processed = 0
     while heap:
+        if processed >= pair_budget:
+            raise GroebnerError(
+                f"S-pair budget {pair_budget} exhausted: {processed} processed, "
+                f"{len(heap)} pending, {len(basis)} basis elements")
         processed += 1
-        if processed > pair_budget:
-            raise GroebnerError(f"S-pair budget {pair_budget} exhausted")
-        _, i, j = heapq.heappop(heap)
-        gi, gj = basis[i], basis[j]
-        lcm = _lcm(gi.lead, gj.lead)
-        if max_degree is not None and sum(lcm) > max_degree:
+        deg, i, j = heapq.heappop(heap)
+        if max_degree is not None and deg > max_degree:
             continue
-        if lcm == _mono_mul(gi.lead, gj.lead):
+        if deg == (basis[i][0] >> pk.nb) + (basis[j][0] >> pk.nb):
             continue  # coprime leading terms: S-polynomial reduces to zero
-        ci = field.inv_scalar(gi.coeffs[gi.lead])
-        cj = field.inv_scalar(gj.coeffs[gj.lead])
-        s: dict = {}
-        for m, c in gi.coeffs.items():
-            key = _mono_mul(m, _mono_div(lcm, gi.lead))
-            s[key] = (s.get(key, 0) + c * ci) % p
-        for m, c in gj.coeffs.items():
-            key = _mono_mul(m, _mono_div(lcm, gj.lead))
-            s[key] = (s.get(key, 0) - c * cj) % p
-        rem = normal_form(GPoly(s, p), basis, field)
+        if deg > pk.cap:
+            pk, basis = pk.widen(deg, basis)
+        (lead_i, tail_i), (lead_j, tail_j) = basis[i], basis[j]
+        lcm = pk.lcm(lead_i, lead_j)
+        shift_i, shift_j = lcm - lead_i, lcm - lead_j
+        s = {k + shift_i: p - c for k, c in tail_i}
+        for k, c in tail_j:
+            k += shift_j
+            s[k] = (s.get(k, 0) + c) % p
+        rem = _reduce(s, basis, p, pk.guard)
         if rem:
             k = len(basis)
-            basis.append(rem)
+            basis.append(pk.monic(rem, field))
             for t in range(k):
-                heapq.heappush(
-                    heap, (sum(_lcm(rem.lead, basis[t].lead)), k, t))
-    return interreduce(basis, field)
+                heapq.heappush(heap, (pk.lcm(basis[k][0], basis[t][0]) >> pk.nb, k, t))
+    return _interreduce(pk, basis, p)
 
 
 def interreduce(basis: list[GPoly], field: PrimeField) -> list[GPoly]:
     """Monic, mutually reduced basis (unique for a fixed monomial order)."""
-    # drop redundant leading terms
-    kept: list[GPoly] = []
-    for g in sorted(basis, key=lambda g: _grevlex_key(g.lead)):
-        if not any(_divides(h.lead, g.lead) for h in kept):
+    return _interreduce(*_packed(basis, field), field.p) if any(basis) else []
+
+
+def _interreduce(pk: _Packing, basis: list, p: int) -> list[GPoly]:
+    """``interreduce`` on a monic packed basis [(lead, tail)] held by ``pk``."""
+    kept: list = []
+    for g in sorted(basis, key=lambda g: g[0]):  # drop redundant leading terms
+        if not any(not (h[0] - g[0]) & pk.guard for h in kept):
             kept.append(g)
     out = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        r = normal_form(g, others, field)
-        if r:
-            inv = field.inv_scalar(r.coeffs[r.lead])
-            out.append(GPoly({m: c * inv for m, c in r.coeffs.items()}, field.p))
-    out.sort(key=lambda g: _grevlex_key(g.lead))
+    for i, (lead, tail) in enumerate(kept):
+        terms = {k: p - c for k, c in tail}
+        terms[lead] = 1
+        # no other kept lead divides this one, so the remainder stays monic
+        out.append(pk.gpoly(_reduce(terms, kept[:i] + kept[i + 1:], p, pk.guard)))
     return out
 
 
 def groebner_basis(ring: PlueckerRing, gens: list[MPoly], p: int, *,
                    max_degree: int | None = None) -> list[GPoly]:
-    nvars = len(ring)
-    return buchberger([GPoly.from_mpoly(g, nvars, p) for g in gens], PrimeField(p),
-                      max_degree=max_degree)
+    """``buchberger`` on the Plücker generators, packed straight from their
+    sorted variable-index monomials."""
+    pk = _Packing(len(ring), max([max_degree or 0] + [len(m) for g in gens for m in g.coeffs]))
+    field, basis = PrimeField(p), []
+    for g in gens:
+        terms = {(len(m) << pk.nb) | (pk.full - sum([pk.units[i] for i in m])): c % p
+                 for m, c in g.coeffs.items() if c % p}
+        if terms:
+            basis.append(pk.monic(terms, field))
+    return _buchberger(pk, basis, field, max_degree, DEFAULT_PAIR_BUDGET) if basis else []
 
 
 # -- invariants of the leading-term ideal -----------------------------------

@@ -55,7 +55,7 @@ class PlueckerRing:
                 raise PlueckerError(f"e exceeds d at vertex {quiver.name(i)}")
         self.variables: list[PlueckerVariable] = []
         self.vertex_of: list[int] = []  # internal vertex index per variable
-        self._index: dict[PlueckerVariable, int] = {}
+        self._index: dict[tuple, int] = {}  # (internal vertex, sorted cols)
         self.block: list[tuple[int, int]] = []  # [start, stop) per vertex
         for i in range(quiver.n):
             start = len(self.variables)
@@ -64,9 +64,8 @@ class PlueckerRing:
                 key=_colex_key,
             )
             for cols in subsets:
-                var = PlueckerVariable(quiver.name(i), cols)
-                self._index[var] = len(self.variables)
-                self.variables.append(var)
+                self._index[i, cols] = len(self.variables)
+                self.variables.append(PlueckerVariable(quiver.name(i), cols))
                 self.vertex_of.append(i)
             self.block.append((start, len(self.variables)))
 
@@ -74,10 +73,11 @@ class PlueckerRing:
         return len(self.variables)
 
     def index(self, vertex_internal: int, cols) -> int:
-        var = PlueckerVariable(self.quiver.name(vertex_internal), tuple(sorted(cols)))
+        cols = tuple(sorted(cols))
         try:
-            return self._index[var]
+            return self._index[vertex_internal, cols]
         except KeyError:
+            var = PlueckerVariable(self.quiver.name(vertex_internal), cols)
             raise PlueckerError(f"no variable {var}") from None
 
     def multidegree(self, mono: tuple[int, ...]) -> tuple[int, ...]:

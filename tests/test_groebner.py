@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import operator
 import sys
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quivergrass import groebner
 from quivergrass.groebner import (
     GPoly,
+    _grevlex_key,
     GroebnerError,
     buchberger,
     groebner_basis,
@@ -318,3 +320,205 @@ def test_pair_budget_enforced():
     ]
     with pytest.raises(GroebnerError):
         buchberger(gens, PrimeField(p), pair_budget=0)
+    # the error names the budget, the pairs processed and pending, and the
+    # basis length (every S-pair of this basis reduces to zero)
+    with pytest.raises(GroebnerError,
+                       match=r"budget 1\b.*\b1 processed, 2 pending, 3 basis elements"):
+        buchberger(gens, PrimeField(p), pair_budget=1)
+    assert len(buchberger(gens, PrimeField(p), pair_budget=3)) == 3
+
+
+# -- the tuple Buchberger as an oracle for the packed one ---------------------
+
+def _ref_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _ref_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _ref_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reference_normal_form(f, basis, field):
+    """Division on exponent tuples, leading term by max over the dict."""
+    p = field.p
+    work = dict(f.coeffs)
+    remainder = {}
+    while work:
+        m = max(work, key=_grevlex_key)
+        c = work[m] % p
+        if not c:
+            del work[m]
+            continue
+        for g in basis:
+            if g.lead is not None and _ref_divides(g.lead, m):
+                shift = _ref_div(m, g.lead)
+                factor = (c * field.inv_scalar(g.coeffs[g.lead])) % p
+                for gm, gc in g.coeffs.items():
+                    key = _ref_mul(gm, shift)
+                    val = (work.get(key, 0) - factor * gc) % p
+                    if val:
+                        work[key] = val
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    return GPoly(remainder, p)
+
+
+def reference_buchberger(gens, field, *, max_degree=None, pair_budget=200_000):
+    """Buchberger on exponent tuples with the packed one's pair order (lcm
+    degree, then index), interreduced the same way."""
+    p = field.p
+    basis = [g for g in gens if g]
+    heap = [(sum(_ref_lcm(basis[i].lead, basis[j].lead)), i, j)
+            for i in range(len(basis)) for j in range(i)]
+    heapq.heapify(heap)
+    processed = 0
+    while heap:
+        processed += 1
+        if processed > pair_budget:
+            raise GroebnerError(f"S-pair budget {pair_budget} exhausted")
+        _, i, j = heapq.heappop(heap)
+        gi, gj = basis[i], basis[j]
+        lcm = _ref_lcm(gi.lead, gj.lead)
+        if max_degree is not None and sum(lcm) > max_degree:
+            continue
+        if lcm == _ref_mul(gi.lead, gj.lead):
+            continue
+        ci = field.inv_scalar(gi.coeffs[gi.lead])
+        cj = field.inv_scalar(gj.coeffs[gj.lead])
+        s = {}
+        for m, c in gi.coeffs.items():
+            key = _ref_mul(m, _ref_div(lcm, gi.lead))
+            s[key] = (s.get(key, 0) + c * ci) % p
+        for m, c in gj.coeffs.items():
+            key = _ref_mul(m, _ref_div(lcm, gj.lead))
+            s[key] = (s.get(key, 0) - c * cj) % p
+        rem = reference_normal_form(GPoly(s, p), basis, field)
+        if rem:
+            k = len(basis)
+            basis.append(rem)
+            for t in range(k):
+                heapq.heappush(heap, (sum(_ref_lcm(rem.lead, basis[t].lead)), k, t))
+    kept = []
+    for g in sorted(basis, key=lambda g: _grevlex_key(g.lead)):
+        if not any(_ref_divides(h.lead, g.lead) for h in kept):
+            kept.append(g)
+    out = []
+    for i, g in enumerate(kept):
+        r = reference_normal_form(g, kept[:i] + kept[i + 1:], field)
+        if r:
+            inv = field.inv_scalar(r.coeffs[r.lead])
+            out.append(GPoly({m: c * inv for m, c in r.coeffs.items()}, p))
+    out.sort(key=lambda g: _grevlex_key(g.lead))
+    return out
+
+
+def terms_of(basis):
+    return [(g.lead, g.coeffs) for g in basis]
+
+
+def outcome(run, gens, field, **kw):
+    """The basis as (lead, coefficients) pairs, or "budget" when it runs out."""
+    try:
+        return terms_of(run(gens, field, **kw))
+    except GroebnerError:
+        return "budget"
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    nvars = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([2, 3, 107]))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.sampled_from([2, 3]))
+        mono = st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)
+        terms = {}
+        for idx in draw(st.lists(mono, min_size=1, max_size=5)):
+            exps = [0] * nvars
+            for i in idx:
+                exps[i] += 1
+            terms[tuple(exps)] = draw(st.integers(1, 300))
+        gens.append(GPoly(terms, p))
+    max_degree = draw(st.sampled_from([None, 2, 3, 4, 5, 6]))
+    return gens, PrimeField(p), max_degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(homogeneous_ideals())
+def test_packed_buchberger_equals_tuple_oracle(case):
+    gens, field, max_degree = case
+    # same pair order, so a budget runs out on both sides or on neither
+    kw = dict(max_degree=max_degree, pair_budget=300)
+    assert outcome(buchberger, gens, field, **kw) == \
+        outcome(reference_buchberger, gens, field, **kw)
+
+
+@pytest.mark.parametrize("scope, max_degree", [("arrows", 8), ("arrows", 4), ("paths", 4)])
+def test_groebner_basis_equals_tuple_oracle_on_d4_subspace_ideals(scope, max_degree):
+    cfg = PrincipalConfig(Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),
+                          (1, 0, 1, 1), (1, 1, 1, 1))
+    p = cfg.catalog_prime
+    for text in D4_SUBSPACE_NODES:
+        ring, gens = ideal(cfg.catalog.realize(cfg.catalog.parse_isoclass(text)), cfg.e,
+                           scope=scope)
+        tuples = []
+        for g in gens:
+            coeffs = {}
+            for mono, c in g.coeffs.items():
+                exps = tuple(mono.count(i) for i in range(len(ring)))
+                coeffs[exps] = coeffs.get(exps, 0) + c
+            tuples.append(GPoly(coeffs, p))
+        expected = reference_buchberger(tuples, PrimeField(p), max_degree=max_degree)
+        assert terms_of(groebner_basis(ring, gens, p, max_degree=max_degree)) == \
+            terms_of(expected)
+
+
+def exponent_tuples(n):
+    return st.tuples(*[st.integers(0, 3) | st.integers(0, 90)] * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_keys_follow_exponent_tuples(data):
+    n = data.draw(st.integers(1, 6))
+    a, b = data.draw(exponent_tuples(n)), data.draw(exponent_tuples(n))
+    # byte fields: one byte up to degree 127, two bytes beyond
+    pk = groebner._Packing(len(a), sum(a) + sum(b))
+    ka, kb, one = pk.pack(a), pk.pack(b), pk.pack((0,) * len(a))
+    assert pk.unpack(ka) == a and pk.unpack(kb) == b
+    assert (ka < kb) == (_grevlex_key(a) < _grevlex_key(b))
+    assert (ka == kb) == (a == b)
+    assert pk.unpack(ka + kb - one) == tuple(x + y for x, y in zip(a, b))
+    assert pk.pack(tuple(x + y for x, y in zip(a, b))) == ka + kb - one
+    assert (not (ka - kb) & pk.guard) == all(x <= y for x, y in zip(a, b))
+    assert pk.lcm(ka, kb) == pk.pack(tuple(max(x, y) for x, y in zip(a, b)))
+
+
+def test_untruncated_basis_outgrowing_one_byte_fields_is_exact():
+    # leads x^64 y and x y^64 fit one-byte fields (degree <= 127); their
+    # S-pair has degree 128 and the basis reaches degree 192
+    p = 101
+    gens = [gp({(64, 1, 0): 1, (0, 0, 65): p - 1}, p),
+            gp({(1, 64, 0): 1, (0, 0, 65): p - 1}, p)]
+    basis = buchberger(gens, PrimeField(p))
+    assert max(sum(g.lead) for g in basis) == 192
+    assert terms_of(basis) == terms_of(reference_buchberger(gens, PrimeField(p)))
+
+
+def test_degree_beyond_the_widest_fields_is_a_typed_error():
+    p = 7
+    degree = 1 << 63
+    with pytest.raises(GroebnerError, match=str(degree)):
+        buchberger([gp({(degree,): 1}, p)], PrimeField(p))

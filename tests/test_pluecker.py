@@ -7,6 +7,7 @@ import pytest
 from quivergrass.catalog import Isoclass, get_catalog
 from quivergrass.linalg import PrimeField
 from quivergrass.pluecker import (
+    PlueckerError,
     PlueckerRing,
     export_macaulay2,
     export_text,
@@ -26,6 +27,19 @@ def test_ring_variable_count():
     # multidegree of a product of one variable per vertex is (1, 1, 1)
     mono = (0, 3, 3 + comb(4, 3))
     assert ring.multidegree(tuple(sorted(mono))) == (1, 1, 1)
+
+
+def test_ring_index_sorts_columns_and_rejects_missing_variables():
+    q = zigzag_quiver(3)
+    ring = PlueckerRing(q, (3, 4, 3), (1, 3, 1))
+    for idx, var in enumerate(ring.variables):
+        vertex = ring.vertex_of[idx]
+        assert ring.index(vertex, var.cols) == idx
+        assert ring.index(vertex, tuple(reversed(var.cols))) == idx
+    # 3 columns at an e = 1 vertex, a column beyond d, a size-1 set at e = 3
+    for vertex, cols in [(0, (1, 2, 3)), (0, (4,)), (1, (2,))]:
+        with pytest.raises(PlueckerError, match="no variable D"):
+            ring.index(vertex, cols)
 
 
 def test_gr24_single_exchange_quadric():
