@@ -32,6 +32,7 @@ class GroebnerError(ValueError):
 
 
 DEFAULT_PAIR_BUDGET = 200_000
+HILBERT_BUDGET = 2_000_000  # candidate monomials of one multidegree
 
 
 def _grevlex_key(mono: tuple[int, ...]):
@@ -286,7 +287,7 @@ def projective_dimension(ring: PlueckerRing, basis: list[GPoly]) -> int:
 
 
 def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
-                      budget: int = 2_000_000) -> int:
+                      budget: int = HILBERT_BUDGET) -> int:
     """dim of the multidegree-m graded piece of the quotient ring.
 
     Counts multidegree-m monomials outside the leading-term ideal; needs a
@@ -302,14 +303,18 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     masks of the last block.
     """
     m = ring.quiver.check_dimvector(m)
+    _check_budget(ring, m, budget)
+    # a list-built key: tuple() of a generator over-allocates and resizes
+    return _lead_tables(tuple(ring.block), tuple([g.lead for g in basis])).count(m)
+
+
+def _check_budget(ring: PlueckerRing, m: tuple, budget: int) -> None:
     total = math.prod(math.comb(hi - lo + deg - 1, deg)
                       for (lo, hi), deg in zip(ring.block, m))
     if total > budget:
         raise GroebnerError(
             f"{total} candidate monomials of multidegree {list(m)} "
             f"exceed the budget {budget}")
-    # a list-built key: tuple() of a generator over-allocates and resizes
-    return _lead_tables(tuple(ring.block), tuple([g.lead for g in basis])).count(m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,10 +438,10 @@ def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees) -> lis
     degrees = [ring.quiver.check_dimvector(m) for m in degrees]
     max_total = max((sum(m) for m in degrees), default=0)
     basis = groebner_basis(ring, gens, p, max_degree=max_total)
-    return [
-        {"m": list(m), "dim": hilbert_component(ring, basis, m)}
-        for m in degrees
-    ]
+    for m in degrees:
+        _check_budget(ring, m, HILBERT_BUDGET)
+    tables = _lead_tables(tuple(ring.block), tuple([g.lead for g in basis]))
+    return [{"m": list(m), "dim": tables.count(m)} for m in degrees]
 
 
 def hilbert_table_json(table: list[dict]) -> str:

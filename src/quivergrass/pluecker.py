@@ -186,22 +186,25 @@ def _bilinear_family(ring: PlueckerRing, s: int, t: int, mat: np.ndarray) -> lis
     out = []
     if es == 0 or et >= dt:
         return out
-    for i_set in itertools.combinations(range(1, ds + 1), es - 1):
-        for j_set in itertools.combinations(range(1, dt + 1), et + 1):
+    # (variable, sign, column) of D[s][I+p] per I and of D[t][J-q] per J
+    rows = [[(ring.index(s, i_set + (p_col,)),
+              (-1) ** sum(1 for x in i_set if x <= p_col), p_col - 1)
+             for p_col in range(1, ds + 1) if p_col not in i_set]
+            for i_set in itertools.combinations(range(1, ds + 1), es - 1)]
+    cols = [[(ring.index(t, tuple(x for x in j_set if x != q_col)),
+              (-1) ** sum(1 for x in j_set if x <= q_col), q_col - 1) for q_col in j_set]
+            for j_set in itertools.combinations(range(1, dt + 1), et + 1)]
+    entries = mat.tolist()
+    for row in rows:
+        for col in cols:
             coeffs: dict = {}
-            for p_col in range(1, ds + 1):
-                if p_col in i_set:
-                    continue
-                v1 = ring.index(s, i_set + (p_col,))
-                eps_p = sum(1 for x in i_set if x <= p_col)
-                for q_col in j_set:
-                    coeff = int(mat[q_col - 1, p_col - 1])
+            for v1, sign_p, pc in row:
+                for v2, sign_q, qc in col:
+                    coeff = entries[qc][pc]
                     if coeff == 0:
                         continue
-                    v2 = ring.index(t, tuple(x for x in j_set if x != q_col))
-                    eps_q = sum(1 for x in j_set if x <= q_col)
-                    mono = tuple(sorted((v1, v2)))
-                    coeffs[mono] = coeffs.get(mono, 0) + (-1) ** (eps_p + eps_q) * coeff
+                    mono = (v1, v2) if v1 <= v2 else (v2, v1)
+                    coeffs[mono] = coeffs.get(mono, 0) + sign_p * sign_q * coeff
             poly = MPoly(ring, coeffs)
             if poly:
                 out.append(poly)

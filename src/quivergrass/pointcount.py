@@ -7,14 +7,16 @@ the lines or the hyperplanes of M_v) and every neighbour is a leaf, each
 leaf message takes one value on the points inside a subspace Z_c and one
 outside, so the root sum is an inclusion-exclusion over the ranks of
 intersections of the Z_c and no subspace is enumerated
-(``_point_root_sum``).  ``classify`` decodes the counting polynomial
-P(q) = sum c_i q^i, whose degree and leading coefficient classify the
-variety (dimension, number of top-dimensional components).  Dynkin quiver
-Grassmannians have affine pavings, so every c_i >= 0 and sum c_i = P(1) =
-chi, the Euler characteristic; chi is a knapsack over the catalog summands
-(``euler_characteristic``), and once the product of the primes counted
-exceeds chi every c_i is a CRT residue of the counts (``decode``).  Newton
-interpolation (``interpolate``) is the independent oracle of the decode.
+(``_point_root_sum``); the ranks add over direct summands, so they are
+read from tables per catalog summand.  ``classify`` decodes the counting
+polynomial P(q) = sum c_i q^i, whose degree and leading coefficient
+classify the variety (dimension, number of top-dimensional components).
+Dynkin quiver Grassmannians have affine pavings, so every c_i >= 0 and
+sum c_i = P(1) = chi, the Euler characteristic; chi is a product over the
+catalog summands (``euler_characteristic``), and once the product of the
+primes counted exceeds chi every c_i is a CRT residue of the counts
+(``decode``).  Newton interpolation (``interpolate``) is the independent
+oracle of the decode.
 """
 
 from __future__ import annotations
@@ -135,11 +137,12 @@ def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.n
     return out
 
 
-def _gauss_table(p: int, nmax: int) -> list[list[int]]:
-    return [
-        [gaussian_binomial(n, k, p) if k <= n else 0 for k in range(nmax + 2)]
+@functools.lru_cache(maxsize=64)
+def _gauss_table(p: int, nmax: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(gaussian_binomial(n, k, p) if k <= n else 0 for k in range(nmax + 2))
         for n in range(nmax + 1)
-    ]
+    )
 
 
 class _Coded:
@@ -203,8 +206,10 @@ def count_points(m: Representation, e, p: int, *,
     ``p`` must be the prime of ``m.field``.  A root with e_v = 1 or
     e_v = d_v - 1 (0 < e_v < d_v) whose neighbours are all leaves is summed
     in closed form by ``_point_root_sum``; any other root runs the leaf
-    messages and pair messages of the DP.  ``enum_budget`` bounds only the
-    enumerations actually built, so a point root never trips it."""
+    messages and pair messages of the DP.  The point root's ranks add over
+    direct summands: a recorded ``isoclass`` sums its catalog summands'
+    cached tables, any other module is its own single summand.
+    ``enum_budget`` bounds only the enumerations built; a point root has none."""
     q = m.quiver
     e = q.check_dimvector(e)
     for i in range(q.n):
@@ -244,36 +249,20 @@ def count_points(m: Representation, e, p: int, *,
             r[lo:hi] = f.batched_rank(np.einsum("nij,kj->nik", bu, B))  # reduces its input
         return _Coded(r, leaf_values(child, v))
 
-    def point_leaf(child: int, v: int) -> tuple[np.ndarray, int, int]:
-        """The leaf ``child`` at a point root v as (rows, g0, g1) for
-        ``_point_root_sum``.
-
-        The message reads only t = dim(U_v & Y), where Y = im A is the row
-        space of W = A^T for an arrow A: child -> v, and Y = ker B is cut out
-        by W = B for an arrow B: v -> child.  A line U_v = <u> has
-        t = [u in Y], cut out by rows annihilating Y; a hyperplane
-        U_v = ker phi has t = dim Y - 1 + [phi kills Y], cut out by rows
-        spanning Y.
-        """
-        a = _edge_arrow(q, child, v)
-        into = q.source(a) == child
-        w = m.maps[a].T if into else m.maps[a]
-        line = e[v] == 1
-        if line == into:  # the rows are the other side of W: its kernel
-            rows = f.kernel_basis(w).T
-            rank_w = m.dims[v] - rows.shape[0]
-        else:
-            rows, rank_w = w, f.rank(w)
-        dim_y = rank_w if into else m.dims[v] - rank_w
+    def point_values(child: int, v: int, dim_y: int) -> tuple[int, int]:
+        """The leaf message (g0, g1) at a point root v: it reads only
+        t = dim(U_v & Y_c), which is the bit [u in Y_c] for a line U_v = <u>
+        and dim Y_c - 1 + [phi kills Y_c] for a hyperplane U_v = ker phi."""
+        into = q.source(_edge_arrow(q, child, v)) == child
         values = leaf_values(child, v)
 
         def g(bit: int) -> int:
-            t = bit if line else dim_y - 1 + bit
+            t = bit if e[v] == 1 else dim_y - 1 + bit
             k = m.dims[child] - dim_y + t if into else e[v] - t
             # a bit no U_v takes may index past the table; its value is unread
             return values[k] if 0 <= k < len(values) else 0
 
-        return rows, g(0), g(1)
+        return g(0), g(1)
 
     def pair_message(child: int, v: int, w_child: np.ndarray) -> np.ndarray:
         """Fallback: explicit containment sum for a weighted child."""
@@ -322,7 +311,16 @@ def count_points(m: Representation, e, p: int, *,
 
     dv = m.dims[root]
     if 0 < e[root] < dv and e[root] in (1, dv - 1) and all(len(adj[c]) == 1 for c in adj[root]):
-        return _point_root_sum(f, dv, [point_leaf(c, root) for c in adj[root]])
+        line = e[root] == 1
+        if m.isoclass is None:
+            mults, tables = [1], [_point_ranks(m, root, line)]
+        else:
+            mults = list(m.isoclass.counts.values())
+            tables = [_summand_point_ranks(q, p, label, root, line) for label in m.isoclass.counts]
+        # dims and ranks of a direct sum: the summands' own, with multiplicity
+        totals = (np.array(mults) @ np.array(tables)).tolist()
+        gs = [point_values(c, root, dim_y) for c, dim_y in zip(adj[root], totals)]
+        return _point_root_sum(p, dv, gs, totals[len(gs):])
     msgs = subtree(root, -1)
     if msgs is None:
         return int(gaussian_binomial(m.dims[root], e[root], p))
@@ -331,28 +329,57 @@ def count_points(m: Representation, e, p: int, *,
     return int(sum(_Coded.combine_to_object(msgs)))
 
 
-def _point_root_sum(f: PrimeField, d: int, leaves: list[tuple[np.ndarray, int, int]]) -> int:
+def _point_ranks(m: Representation, root: int, line: bool) -> tuple[int, ...]:
+    """dim Y_c per leaf c of the point root, then the rank of the stacked
+    rows of each subset T of the leaves (``itertools.product`` order).
+
+    Y_c is im A (the row space of W = A^T) for an arrow A: c -> root, and
+    ker B (cut out by W = B) for B: root -> c.  The rows of c annihilate
+    Y_c for lines and span it for hyperplanes, so every value is the
+    dimension of a sum or an intersection of the Y_c: on a direct sum, the
+    sum of the summands' values."""
+    q, f, d = m.quiver, m.field, m.dims[root]
+    dim_ys, blocks = [], []
+    for c in q.neighbors()[root]:
+        a = _edge_arrow(q, c, root)
+        into = q.source(a) == c
+        w = m.maps[a].T if into else m.maps[a]
+        if line == into:  # the rows are the other side of W: its kernel
+            rows = f.kernel_basis(w).T
+            rank_w = d - rows.shape[0]
+        else:
+            rows, rank_w = w, f.rank(w)
+        dim_ys.append(rank_w if into else d - rank_w)
+        blocks.append(rows)
+    subsets = np.array(list(itertools.product((0, 1), repeat=len(blocks))), dtype=np.int64)
+    rows = np.concatenate(blocks + [np.zeros((0, d), dtype=np.int64)])
+    owner = np.repeat(np.arange(len(blocks)), [r.shape[0] for r in blocks])
+    # one stack per subset T: the rows of the leaves outside T zeroed
+    ranks = f.batched_rank(rows[None, :, :] * subsets[:, owner][:, :, None])
+    return tuple(dim_ys) + tuple(ranks.tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _summand_point_ranks(quiver: Quiver, p: int, label, root: int, line: bool) -> tuple[int, ...]:
+    """``_point_ranks`` of the catalog model ``label`` over F_p."""
+    return _point_ranks(get_catalog(quiver, p).models[label], root, line)
+
+
+def _point_root_sum(p: int, d: int, gs: list[tuple[int, int]], ranks: list[int]) -> int:
     """Sum over the points x of P(F_p^d) of prod_c g_c(x), where the leaf
-    c = (rows, g0, g1) has g_c(x) = g1 for x in the subspace Z_c that
-    ``rows`` cut out and g0 elsewhere.
+    c = (g0, g1) has g_c(x) = g1 for x in a subspace Z_c and g0 elsewhere.
 
     Writing g_c = g0 + [x in Z_c] (g1 - g0) and expanding the product gives
     the sum over subsets T of the leaves of prod_{c not in T} g0_c *
     prod_{c in T} (g1_c - g0_c) * |P(Z_T)|, where Z_T, the intersection of
-    the Z_c with c in T, has dimension d - rank(rows of T): 2^k small ranks
-    in place of an enumeration of P(F_p^d).
+    the Z_c with c in T, has dimension d - ranks[T] (``_point_ranks``).
     """
-    subsets = np.array(list(itertools.product((0, 1), repeat=len(leaves))), dtype=np.int64)
-    rows = np.concatenate([r for r, _, _ in leaves] + [np.zeros((0, d), dtype=np.int64)])
-    owner = np.repeat(np.arange(len(leaves)), [r.shape[0] for r, _, _ in leaves])
-    # one stack per subset T: the rows of the leaves outside T zeroed
-    ranks = f.batched_rank(rows[None, :, :] * subsets[:, owner][:, :, None])
     total = 0
-    for bits, rank in zip(subsets.tolist(), ranks.tolist()):
+    for bits, rank in zip(itertools.product((0, 1), repeat=len(gs)), ranks):
         weight = 1
-        for bit, (_, g0, g1) in zip(bits, leaves):
+        for bit, (g0, g1) in zip(bits, gs):
             weight *= g1 - g0 if bit else g0
-        total += weight * ((f.p ** (d - rank) - 1) // (f.p - 1))
+        total += weight * ((p ** (d - rank) - 1) // (p - 1))
     return total
 
 
@@ -382,6 +409,11 @@ def _containment(f: PrimeField, vecs: np.ndarray, spaces: np.ndarray, e_space: i
 
 def _choose_root(q: Quiver, d, e, p: int) -> int:
     """Root minimizing the estimated DP cost (pair messages dominate)."""
+    return _cheapest_root(q, tuple(d), tuple(e), p)
+
+
+@functools.lru_cache(maxsize=256)
+def _cheapest_root(q: Quiver, d: tuple[int, ...], e: tuple[int, ...], p: int) -> int:
     adj = q.neighbors()
 
     def cost(root: int) -> int:
@@ -575,14 +607,29 @@ def _indecomposable_chi(quiver: Quiver, label, f: tuple[int, ...]) -> int:
     return sum(coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _chi_terms(quiver: Quiver, label, e: tuple[int, ...]) -> tuple:
+    """The generating function of chi(Gr_f(X)), X named by ``label``, as
+    (target, source, chi) per f <= e with chi != 0: a product with it adds
+    chi times the entries at g <= e - f (source) to those at g + f (target)."""
+    terms = []
+    for f in itertools.product(*(range(min(x, ei) + 1) for x, ei in zip(label.dims, e))):
+        chi = _indecomposable_chi(quiver, label, f)
+        if chi:
+            terms.append((tuple(slice(fi, ei + 1) for fi, ei in zip(f, e)),
+                          tuple(slice(0, ei + 1 - fi) for fi, ei in zip(f, e)), chi))
+    return tuple(terms)
+
+
 def euler_characteristic(m: Representation, e) -> int:
     """chi(Gr_e(M)) from the catalog summands of ``m``, no point count.
 
     chi is multiplicative over direct sums, chi(Gr_e(M + N)) =
-    sum over f + g = e of chi(Gr_f(M)) chi(Gr_g(N)), so it is a knapsack
-    over the summands reading one table entry per (indecomposable, f).
-    The summands are ``m.isoclass`` when recorded (``Catalog.realize``),
-    else ``Catalog.decompose``.
+    sum over f + g = e of chi(Gr_f(M)) chi(Gr_g(N)), so the array of
+    chi(Gr_f(M)) over f <= e is the product of the summands' generating
+    functions (``_chi_terms``): int64 below a proven bound, else Python
+    ints.  The summands are ``m.isoclass`` when recorded
+    (``Catalog.realize``), else ``Catalog.decompose``.
     """
     q = m.quiver
     e = q.check_dimvector(e)
@@ -592,19 +639,18 @@ def euler_characteristic(m: Representation, e) -> int:
             iso = get_catalog(q, m.field.p).decompose(m)
         except CatalogError as exc:
             raise CountError(f"chi needs a catalog of the quiver: {exc}") from exc
-    chis = {(0,) * q.n: 1}  # partial sub-dimension vector -> chi
-    for label, mult in iso.counts.items():
+    factors = [(_chi_terms(q, label, e), mult) for label, mult in iso.counts.items()]
+    # no partial sum exceeds the product of the factors' absolute sums
+    bound = math.prod(sum(abs(c) for _, _, c in terms) ** mult for terms, mult in factors)
+    chis = np.zeros([x + 1 for x in e], dtype=np.int64 if bound < 2**63 else object)
+    chis[(0,) * q.n] = 1
+    for terms, mult in factors:
         for _ in range(mult):
-            grown: dict[tuple[int, ...], int] = {}
-            for g, c in chis.items():
-                ranges = [range(min(x, ei - gi) + 1) for x, ei, gi in zip(label.dims, e, g)]
-                for f in itertools.product(*ranges):
-                    cx = _indecomposable_chi(q, label, f)
-                    if cx:
-                        h = tuple(a + b for a, b in zip(g, f))
-                        grown[h] = grown.get(h, 0) + c * cx
+            grown = np.zeros_like(chis)
+            for target, source, chi in terms:
+                grown[target] += chi * chis[source]
             chis = grown
-    return chis.get(e, 0)
+    return int(chis[e])
 
 
 def _schedule(chi: int) -> tuple[list[int], list[int]]:

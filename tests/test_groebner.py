@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivergrass import groebner
+from quivergrass import groebner, pointcount
 from quivergrass.groebner import (
     GPoly,
     _grevlex_key,
@@ -264,23 +264,35 @@ def test_hilbert_component_budget_checked_before_any_table():
 
 def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     # perfbench/run.py:clear_caches calls cache_clear on every module-level
-    # callable of quivergrass that has one, so each memo must be such a cache
+    # callable of quivergrass that has one, so each memo must be such a
+    # cache; the point counts keep their tables under the same rule
     ring = layout_ring([3, 2])
     hilbert_table(ring, [], 107, [(1, 1), (2, 1)])
     hilbert_component(ring, monomial_basis([(1, 0, 0, 1, 0)]), (2, 2))
-    module = sys.modules["quivergrass.groebner"]
-    cleared = []
-    for name, obj in vars(module).items():
-        if callable(getattr(obj, "cache_clear", None)):
-            obj.cache_clear()
-            cleared.append(name)
-    assert {"_lead_tables", "_monomials"} <= set(cleared)
-    for name in cleared:
-        assert getattr(module, name).cache_info().currsize == 0, name
-    # no memo outside those caches: no filled module-level container
-    held = [name for name, obj in vars(module).items()
-            if not name.startswith("__") and isinstance(obj, (dict, list, set)) and obj]
-    assert held == []
+    cfg = PrincipalConfig(Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)]),
+                          (1, 1, 1, 1), (1, 1, 1, 1))
+    m = cfg.catalog_at(3).realize(cfg.generic())
+    pointcount.classify(lambda p: cfg.catalog_at(p).realize(cfg.generic()), cfg.e)
+    pointcount.count_points(m, (1, 2, 1, 1), 3)  # not a point root: enumerates
+    memos = {"quivergrass.groebner": {"_lead_tables", "_monomials"},
+             "quivergrass.pointcount": {"_cached_enum", "_gauss_table", "_cheapest_root",
+                                        "_summand_point_ranks", "_indecomposable_chi",
+                                        "_chi_terms"}}
+    for module_name, expected in memos.items():
+        module = sys.modules[module_name]
+        cleared = []
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)):
+                assert obj.cache_info().currsize or name not in expected, name
+                obj.cache_clear()
+                cleared.append(name)
+        assert expected <= set(cleared)
+        for name in cleared:
+            assert getattr(module, name).cache_info().currsize == 0, name
+        # no memo outside those caches: no filled module-level container
+        held = [name for name, obj in vars(module).items()
+                if not name.startswith("__") and isinstance(obj, (dict, list, set)) and obj]
+        assert held == []
 
 
 def test_hilbert_values_flag_example():

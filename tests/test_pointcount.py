@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -375,12 +376,71 @@ def test_point_root_ignores_enum_budget(d4_center_cfg):
     assert count_points(m, cfg.e, 2, enum_budget=1) == brute_force_count(m, cfg.e, 2)
 
 
+@pytest.mark.parametrize("quiver", STARS)
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_point_root_of_a_realized_isoclass_equals_brute_force(quiver, seed, p):
+    # a realized module sums its summands' point-root tables
+    rng = np.random.default_rng(seed)
+    cat = get_catalog(quiver, p)
+    counts, total = {}, [0] * quiver.n
+    while total[0] < 2:  # a point root needs 0 < e_center < d_center
+        lab = cat.labels[int(rng.integers(len(cat.labels)))]
+        if all(t + dv <= 3 for t, dv in zip(total, lab.dims)):
+            counts[lab] = counts.get(lab, 0) + 1
+            total = [t + dv for t, dv in zip(total, lab.dims)]
+    m = cat.realize(Isoclass(counts))
+    e = [int(rng.choice([1, m.dims[0] - 1]))] + [int(rng.integers(0, dv + 1)) for dv in m.dims[1:]]
+    assert _choose_root(quiver, m.dims, e, p) == 0
+    assert count_points(m, e, p, enum_budget=1) == brute_force_count(m, e, p)
+
+
 @pytest.mark.parametrize("cfg_name", ["zigzag3_cfg", "d4_center_cfg"])
 def test_recorded_isoclass_gives_the_decomposed_chi(cfg_name, request):
     cfg = request.getfixturevalue(cfg_name)
     for iso in cfg.poset.nodes:
+        for p in (2, 3, 5, 7, 11, 13):
+            m = cfg.catalog_at(p).realize(iso)
+            assert m.isoclass == iso
+            copy = Representation(m.quiver, m.field, m.dims, m.maps)
+            assert copy.isoclass is None
+            # summed per-summand tables against the module as one summand
+            assert count_points(m, cfg.e, p) == count_points(copy, cfg.e, p)
+            if p == 2:
+                assert euler_characteristic(m, cfg.e) == euler_characteristic(copy, cfg.e)
+
+
+def test_chi_past_int64_stays_exact():
+    # chi(Gr_35(F^70)) = C(70, 35) > 2^63: the product runs on Python ints
+    q = zigzag_quiver(3)
+    cat = get_catalog(q, 2)
+    m = cat.realize(Isoclass({cat.simple_label(1): 70}))
+    assert euler_characteristic(m, (0, 35, 0)) == math.comb(70, 35) > 2**63
+    assert euler_characteristic(m, (0, 1, 0)) == 70
+
+
+def _knapsack_chi(quiver, iso, e):
+    """chi(Gr_e(M)) by a knapsack over the summands in a dict of partial
+    sub-dimension vectors: the oracle of the dense product."""
+    chis = {(0,) * quiver.n: 1}
+    for label, mult in iso.counts.items():
+        for _ in range(mult):
+            grown = {}
+            for g, c in chis.items():
+                ranges = [range(min(x, ei - gi) + 1) for x, ei, gi in zip(label.dims, e, g)]
+                for f in itertools.product(*ranges):
+                    cx = _indecomposable_chi(quiver, label, f)
+                    if cx:
+                        h = tuple(a + b for a, b in zip(g, f))
+                        grown[h] = grown.get(h, 0) + c * cx
+            chis = grown
+    return chis.get(tuple(e), 0)
+
+
+@pytest.mark.parametrize("cfg_name", ["zigzag3_cfg", "eq_a3_cfg", "p1xp1_cfg", "a4_cfg",
+                                      "d4_center_cfg"])
+def test_chi_product_equals_the_knapsack(cfg_name, request):
+    cfg = request.getfixturevalue(cfg_name)
+    for iso in cfg.poset.nodes:
         m = cfg.catalog_at(2).realize(iso)
-        assert m.isoclass == iso
-        copy = Representation(m.quiver, m.field, m.dims, m.maps)
-        assert copy.isoclass is None
-        assert euler_characteristic(m, cfg.e) == euler_characteristic(copy, cfg.e)
+        assert euler_characteristic(m, cfg.e) == _knapsack_chi(cfg.quiver, iso, cfg.e)
