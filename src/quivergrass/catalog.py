@@ -38,6 +38,13 @@ class IndecLabel:
     dims: tuple[int, ...]
     name: str
 
+    def __post_init__(self):
+        # labels key the per-summand tables of every count: hash once
+        object.__setattr__(self, "_hash", hash((self.dims, self.name)))
+
+    def __hash__(self):
+        return self._hash
+
     def __str__(self):
         return self.name
 
@@ -147,6 +154,7 @@ class Catalog:
         self._build()
         self._hom_matrix: np.ndarray | None = None
         self._order: list[int] | None = None
+        self._fold: dict[IndecLabel, int] | None = None
 
     # construction
 
@@ -271,6 +279,24 @@ class Catalog:
             order.reverse()  # sources first: hom only points forward
             self._order = order
         return self._order
+
+    def fold_positions(self) -> dict[IndecLabel, int]:
+        """Each label's position in ``_topological_order``, after checking
+        once that Ext^1(X_a, X_b) = hom(X_a, X_b) - <dim X_a, dim X_b>
+        vanishes whenever X_a does not come after X_b.  A direct sum built
+        by adding summands from the last position to the first then never
+        adds an N with Ext^1(N, M) != 0 to the part M already built."""
+        if self._fold is None:
+            h, order = self.hom_matrix(), self._topological_order()
+            for i, a in enumerate(order):
+                la = self.labels[a]
+                for b in order[i:]:
+                    lb = self.labels[b]
+                    if h[a, b] != self.quiver.euler_form(la.dims, lb.dims):
+                        raise CatalogError(f"Ext^1({la}, {lb}) != 0, though {la} "
+                                           f"comes before {lb} (not Dynkin?)")
+            self._fold = {self.labels[a]: pos for pos, a in enumerate(order)}
+        return self._fold
 
     # realize / decompose
 

@@ -82,8 +82,9 @@ def main(argv=None) -> int:
             p.add_argument("--max-nodes", type=int, default=0, help="poset size budget")
         if decodes:
             p.add_argument("--max-prime", type=int, default=0,
-                           help="largest prime a count may use; a node that needs "
-                                "more is an error (default 101)")
+                           help="largest prime a per-summand decode may count at; "
+                                "a node whose summands need more is an error "
+                                "(default 101)")
         p.add_argument("--prime", type=int, default=0, help="working prime (default 107)")
         p.add_argument("--out", default="", help="output directory (default: stdout)")
 

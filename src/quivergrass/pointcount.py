@@ -8,15 +8,24 @@ leaf message takes one value on the points inside a subspace Z_c and one
 outside, so the root sum is an inclusion-exclusion over the ranks of
 intersections of the Z_c and no subspace is enumerated
 (``_point_root_sum``); the ranks add over direct summands, so they are
-read from tables per catalog summand.  ``classify`` decodes the counting
-polynomial P(q) = sum c_i q^i, whose degree and leading coefficient
-classify the variety (dimension, number of top-dimensional components).
-Dynkin quiver Grassmannians have affine pavings, so every c_i >= 0 and
-sum c_i = P(1) = chi, the Euler characteristic; chi is a product over the
-catalog summands (``euler_characteristic``), and once the product of the
-primes counted exceeds chi every c_i is a CRT residue of the counts
-(``decode``).  Newton interpolation (``interpolate``) is the independent
-oracle of the decode.
+read from tables per catalog summand.
+
+``classify`` reads off the counting polynomial P(q) = sum c_i q^i, whose
+degree and leading coefficient classify the variety (dimension, number of
+top-dimensional components).  P is a twisted product over the catalog
+summands of the module (``_product``): when Ext^1(N, M) = 0,
+
+    P_{N+M,e}(q) = sum over f + g = e of q^<g, dim M - f> P_{M,f}(q) P_{N,g}(q)
+
+(the Hall-number form of Caldero and Chapoton's product for Euler
+characteristics), and adding the summands in the reverse order of
+``Catalog.fold_positions`` keeps Ext^1(N, M) = 0 at every step.  The
+polynomial of each indecomposable model is decoded once from its counts:
+Dynkin quiver Grassmannians have affine pavings, so every c_i >= 0, and
+once the product of the primes counted exceeds P(1) every c_i is a CRT
+residue of the counts (``decode``).  The DP count of the module itself at
+p = 2 and 3 then checks the product; Newton interpolation
+(``interpolate``) and ``brute_force_count`` remain as oracles.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -44,6 +54,7 @@ DEFAULT_ENUM_BUDGET = 6_000_000
 DEFAULT_PAIR_BUDGET = 30_000_000
 BRUTE_BUDGET = 10_000_000
 HELDOUT = 2  # primes past the decode that a consistent polynomial must fit
+CHECK_PRIMES = (2, 3)  # where the DP count must equal the product
 _CHUNK = 200_000
 
 
@@ -587,71 +598,7 @@ def _primes_from(start: int = 2):
         p += 1
 
 
-# -- Euler characteristics and the decode ----------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _indecomposable_chi(quiver: Quiver, label, f: tuple[int, ...]) -> int:
-    """chi(Gr_f(X)) for the catalog indecomposable X named by ``label``.
-
-    The same decode as ``classify``, bounded by chi <= |Gr_f(X)(F_2)|, which
-    holds because the counting polynomial has non-negative coefficients.
-    """
-    def count_at(p: int) -> int:
-        return count_points(get_catalog(quiver, p).models[label], f, p)
-
-    bound = count_at(2)
-    primes, heldout = _schedule(bound)
-    _, coeffs, reason = _count_and_decode(count_at, primes, heldout, bound, exact=False)
-    if reason:
-        raise CountError(f"chi of Gr_{f}({label}): {reason}")
-    return sum(coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def _chi_terms(quiver: Quiver, label, e: tuple[int, ...]) -> tuple:
-    """The generating function of chi(Gr_f(X)), X named by ``label``, as
-    (target, source, chi) per f <= e with chi != 0: a product with it adds
-    chi times the entries at g <= e - f (source) to those at g + f (target)."""
-    terms = []
-    for f in itertools.product(*(range(min(x, ei) + 1) for x, ei in zip(label.dims, e))):
-        chi = _indecomposable_chi(quiver, label, f)
-        if chi:
-            terms.append((tuple(slice(fi, ei + 1) for fi, ei in zip(f, e)),
-                          tuple(slice(0, ei + 1 - fi) for fi, ei in zip(f, e)), chi))
-    return tuple(terms)
-
-
-def euler_characteristic(m: Representation, e) -> int:
-    """chi(Gr_e(M)) from the catalog summands of ``m``, no point count.
-
-    chi is multiplicative over direct sums, chi(Gr_e(M + N)) =
-    sum over f + g = e of chi(Gr_f(M)) chi(Gr_g(N)), so the array of
-    chi(Gr_f(M)) over f <= e is the product of the summands' generating
-    functions (``_chi_terms``): int64 below a proven bound, else Python
-    ints.  The summands are ``m.isoclass`` when recorded
-    (``Catalog.realize``), else ``Catalog.decompose``.
-    """
-    q = m.quiver
-    e = q.check_dimvector(e)
-    iso = m.isoclass
-    if iso is None:
-        try:
-            iso = get_catalog(q, m.field.p).decompose(m)
-        except CatalogError as exc:
-            raise CountError(f"chi needs a catalog of the quiver: {exc}") from exc
-    factors = [(_chi_terms(q, label, e), mult) for label, mult in iso.counts.items()]
-    # no partial sum exceeds the product of the factors' absolute sums
-    bound = math.prod(sum(abs(c) for _, _, c in terms) ** mult for terms, mult in factors)
-    chis = np.zeros([x + 1 for x in e], dtype=np.int64 if bound < 2**63 else object)
-    chis[(0,) * q.n] = 1
-    for terms, mult in factors:
-        for _ in range(mult):
-            grown = np.zeros_like(chis)
-            for target, source, chi in terms:
-                grown[target] += chi * chis[source]
-            chis = grown
-    return int(chis[e])
-
+# -- per-summand decodes ------------------------------------------------------
 
 def _schedule(chi: int) -> tuple[list[int], list[int]]:
     """The decode primes 2, 3, 5, ... up to the first whose product exceeds
@@ -725,34 +672,212 @@ def _count_and_decode(count_at, primes: list[int], heldout: list[int], chi: int,
     return counts, coeffs, ""
 
 
+@functools.lru_cache(maxsize=None)
+def _indecomposable_poly(quiver: Quiver, label, f: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The coefficients of P_{X,f}, the counting polynomial of Gr_f(X) for
+    the catalog model X named by ``label``, and the largest prime its decode
+    counted at.  The decode is bounded by chi <= |Gr_f(X)(F_2)|, which holds
+    because the coefficients are non-negative."""
+    def count_at(p: int) -> int:
+        return count_points(get_catalog(quiver, p).models[label], f, p)
+
+    bound = count_at(2)
+    primes, heldout = _schedule(bound)
+    _, coeffs, reason = _count_and_decode(count_at, primes, heldout, bound, exact=False)
+    if reason:
+        raise CountError(f"counting polynomial of Gr_{f}({label}): {reason}")
+    return tuple(coeffs), (heldout or primes)[-1]
+
+
+def _indecomposable_chi(quiver: Quiver, label, f: tuple[int, ...]) -> int:
+    """chi(Gr_f(X)) = P_{X,f}(1)."""
+    return sum(_indecomposable_poly(quiver, label, f)[0])
+
+
+# -- the twisted product over catalog summands ------------------------------
+
+class _Box:
+    """The sub-dimension vectors g <= e, numbered in mixed radix with the
+    last coordinate fastest, so that f + g has number fi + gi whenever
+    f + g <= e; e itself is the last.
+
+    ``gprime[gi]`` is g' with g'_t = g_t - sum over arrows s -> t of g_s,
+    so that the Euler form is <g, r> = g' . r, and ``dots(gi)[fi]`` is
+    g' . f, or None where f + g is not <= e."""
+
+    def __init__(self, quiver: Quiver, e: tuple[int, ...]):
+        self.e = e
+        self.vectors = list(itertools.product(*(range(x + 1) for x in e)))
+        self.index = {g: i for i, g in enumerate(self.vectors)}
+        into = [[s for s, t in quiver.arrows if t == v] for v in range(quiver.n)]
+        self.gprime = [tuple(g[t] - sum(g[s] for s in into[t]) for t in range(quiver.n))
+                       for g in self.vectors]
+        self._dots: list = [None] * len(self.vectors)
+
+    def dots(self, gi: int) -> list:
+        row = self._dots[gi]
+        if row is None:
+            room = [x - y for x, y in zip(self.e, self.vectors[gi])]
+            row = self._dots[gi] = [
+                sum(map(operator.mul, self.gprime[gi], f))
+                if all(map(operator.le, f, room)) else None
+                for f in self.vectors
+            ]
+        return row
+
+    def twist(self, gi: int, dim_m) -> int:
+        """<g, dim M> = g' . dim M."""
+        return sum(map(operator.mul, self.gprime[gi], dim_m))
+
+
+@functools.lru_cache(maxsize=None)
+def _box(quiver: Quiver, e: tuple[int, ...]) -> _Box:
+    return _Box(quiver, e)
+
+
+@functools.lru_cache(maxsize=None)
+def _summand_terms(quiver: Quiver, label, e: tuple[int, ...]) -> tuple[tuple, int, int]:
+    """The nonzero P_{X,g} with g <= e as (g, coefficients) pairs, the sum
+    of all their coefficients, and the largest prime their decodes used."""
+    terms, total, top = [], 0, 2
+    for g in itertools.product(*(range(min(x, ei) + 1) for x, ei in zip(label.dims, e))):
+        coeffs, p = _indecomposable_poly(quiver, label, g)
+        top = max(top, p)
+        if coeffs:
+            terms.append((g, coeffs))
+            total += sum(coeffs)
+    return tuple(terms), total, top
+
+
+def _pack(coeffs, width: int) -> int:
+    """Kronecker substitution q -> 2^width: coefficient i in bits
+    [i * width, (i + 1) * width), so a twist by q^k is a shift."""
+    return sum(c << (i * width) for i, c in enumerate(coeffs))
+
+
+def _unpack(packed: int, width: int) -> list[int]:
+    size = width // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
+
+
+def _fold(acc, dim_m, rows, box: _Box, width: int) -> tuple[tuple[int, int], ...]:
+    """P_{N+M,h} = sum over f + g = h of q^<g, dim M - f> P_{M,f} P_{N,g}
+    for every h <= e, from ``acc`` (P_{M,f}) and ``rows`` (P_{N,g}), each a
+    tuple of (box number, packed polynomial) pairs.  Needs Ext^1(N, M) = 0:
+    then a subrepresentation U of N + M is a pair (U & M, the image of U in
+    N) with a fibre of q^hom(U_N, M/U_M) points, and hom is the Euler form."""
+    new = [0] * len(box.vectors)
+    terms = [(gi, pg, box.twist(gi, dim_m), box.dots(gi)) for gi, pg in rows]
+    for fi, pf in acc:
+        for gi, pg, base, dots in terms:
+            d = dots[fi]
+            if d is not None:
+                new[fi + gi] += (pf * pg) << (width * (base - d))
+    return tuple([(h, ph) for h, ph in enumerate(new) if ph])
+
+
+def _fold_at_e(acc, dim_m, rows, box: _Box, width: int) -> int:
+    """The entry h = e of ``_fold``, alone."""
+    last = len(box.vectors) - 1
+    by_number = dict(rows)
+    total = 0
+    for fi, pf in acc:
+        pg = by_number.get(last - fi)
+        if pg:
+            gi = last - fi
+            total += (pf * pg) << (width * (box.twist(gi, dim_m) - box.dots(gi)[fi]))
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _power_table(quiver: Quiver, label, mult: int, e: tuple[int, ...],
+                 width: int) -> tuple[tuple[int, int], ...]:
+    """P_{X^mult,g} for g <= e as (box number, packed polynomial) pairs:
+    X folded into X^(mult-1), as a rigid X has Ext^1(X, X) = 0."""
+    box = _box(quiver, e)
+    one = tuple((box.index[g], _pack(c, width)) for g, c in _summand_terms(quiver, label, e)[0])
+    if mult == 1:
+        return one
+    below = _power_table(quiver, label, mult - 1, e, width)
+    return _fold(below, [(mult - 1) * x for x in label.dims], one, box, width)
+
+
+def _product(m: Representation, e) -> tuple[list[int], int]:
+    """The coefficients of P_{M,e} from the catalog summands of ``m``, and
+    the largest prime the per-summand decodes counted at.
+
+    The summands are ``m.isoclass`` when recorded (``Catalog.realize``),
+    else ``Catalog.decompose``.  They are folded in from the last position
+    of ``Catalog.fold_positions`` to the first, each label with its whole
+    multiplicity, so that no new summand extends the ones before it.  Every
+    coefficient of every partial table is at most the product of the
+    summands' coefficient totals, which sizes the packed fields."""
+    q = m.quiver
+    e = q.check_dimvector(e)
+    try:
+        cat = get_catalog(q, m.field.p)
+        iso = cat.decompose(m) if m.isoclass is None else m.isoclass
+        position = cat.fold_positions()
+    except CatalogError as exc:
+        raise CountError(f"the counting polynomial needs a catalog of the quiver: {exc}") from exc
+    summands = sorted(iso.counts.items(), key=lambda item: position[item[0]], reverse=True)
+    if not summands:
+        return ([1] if not any(e) else []), 2
+    infos = [_summand_terms(q, label, e) for label, _ in summands]
+    bound = math.prod(total ** mult for (_, total, _), (_, mult) in zip(infos, summands))
+    # whole 32-bit words, so that nodes with close bounds share power tables
+    width = 32 * -(-bound.bit_length() // 32)
+    box = _box(q, e)
+    acc = _power_table(q, *summands[0], e, width)
+    dim_m = [summands[0][1] * x for x in summands[0][0].dims]
+    for label, mult in summands[1:-1]:
+        acc = _fold(acc, dim_m, _power_table(q, label, mult, e, width), box, width)
+        dim_m = [a + mult * x for a, x in zip(dim_m, label.dims)]
+    if len(summands) == 1:
+        packed = dict(acc).get(len(box.vectors) - 1, 0)
+    else:
+        label, mult = summands[-1]
+        packed = _fold_at_e(acc, dim_m, _power_table(q, label, mult, e, width), box, width)
+    return _unpack(packed, width), max(top for _, _, top in infos)
+
+
+def euler_characteristic(m: Representation, e) -> int:
+    """chi(Gr_e(M)) = P(1), the sum of the coefficients of the counting
+    polynomial that ``classify`` reads off the catalog summands of ``m``."""
+    return sum(_product(m, e)[0])
+
+
 def classify(m_for_prime, e, *, max_prime: int = 101,
              enum_budget: int = DEFAULT_ENUM_BUDGET,
              pair_budget: int = DEFAULT_PAIR_BUDGET) -> Classification:
-    """Classify a quiver Grassmannian by its chi-bounded counting polynomial.
+    """Classify a quiver Grassmannian by its counting polynomial.
 
     ``m_for_prime`` is a callable p -> Representation over F_p (the same
-    module realized at each prime).  chi = P(1) comes from the catalog
-    summands of the module at p = 2 (``euler_characteristic``); the counts at
-    the fewest primes whose product exceeds chi decode P, and ``HELDOUT``
-    further primes must reproduce it.  chi = 0 is the empty variety
-    (dimension -1, zero polynomial), checked by its count at p = 2 alone.
-    Raises CountError when those primes go beyond ``max_prime``; a failed
-    decode or held-out check gives ``consistent=False`` and a ``reason``.
+    module realized at each prime).  The polynomial is the twisted product
+    of the per-summand polynomials of the module at p = 2 (``_product``);
+    ``count_points`` of the module at each of ``CHECK_PRIMES`` must equal
+    its value there.  The zero polynomial is the empty variety (dimension
+    -1), checked by its count at p = 2 alone.  Raises CountError when a
+    per-summand decode counted at a prime above ``max_prime``; a count
+    that disagrees with the product gives ``consistent=False`` and a
+    ``reason``.
     """
     m2 = m_for_prime(2)
-    chi = euler_characteristic(m2, e)
-    primes, heldout = _schedule(chi)
-    need = (heldout or primes)[-1]
-    if need > max_prime:
-        raise CountError(f"chi = {chi} needs counts up to p={need}, "
+    coeffs, top = _product(m2, e)
+    if top > max_prime:
+        raise CountError(f"the per-summand decodes count up to p={top}, "
                          f"above max_prime={max_prime}")
-
-    def count_at(p: int) -> int:
+    counts: dict[int, int] = {}
+    reason = ""
+    for p in CHECK_PRIMES if coeffs else CHECK_PRIMES[:1]:
         m = m2 if p == 2 else m_for_prime(p)
-        return count_points(m, e, p, enum_budget=enum_budget, pair_budget=pair_budget)
-
-    counts, coeffs, reason = _count_and_decode(count_at, primes, heldout, chi, exact=True)
-    poly = CountingPolynomial(tuple(Fraction(c) for c in coeffs or ()))
+        counts[p] = count_points(m, e, p, enum_budget=enum_budget, pair_budget=pair_budget)
+        value = sum(c * p**i for i, c in enumerate(coeffs))
+        if counts[p] != value:
+            reason = f"check mismatch at p={p}: counted {counts[p]}, product gives {value}"
+            break
+    poly = CountingPolynomial(tuple(Fraction(c) for c in coeffs))
     return Classification(
         dimension=poly.degree,
         top_count=int(poly.leading),

@@ -60,6 +60,8 @@ class Quiver:
         if self.n and not self._connected():
             raise QuiverError("underlying graph is not connected")
         self.dynkin = classify_tree(self)
+        # quivers key the per-summand tables of every count: hash once
+        self._hash = hash((self.vertex_names, self.arrows))
 
     # -- basic structure ---------------------------------------------------
 
@@ -129,14 +131,14 @@ class Quiver:
         return d
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Quiver)
             and self.vertex_names == other.vertex_names
             and self.arrows == other.arrows
         )
 
     def __hash__(self):
-        return hash((self.vertex_names, self.arrows))
+        return self._hash
 
     def __repr__(self):
         arrows = ", ".join(f"{self.name(s)}->{self.name(t)}" for s, t in self.arrows)

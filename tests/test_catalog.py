@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivergrass.catalog import CatalogError, Isoclass, get_catalog, positive_roots
+from quivergrass.catalog import Catalog, CatalogError, Isoclass, get_catalog, positive_roots
+from quivergrass.linalg import PrimeField
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass import reps
 
@@ -109,3 +110,31 @@ def test_isoclass_addition_and_dims():
     iso = Isoclass({u: 1}) + Isoclass({s1: 2})
     assert iso.counts[s1] == 2
     assert iso.dims(2) == (3, 1)
+
+
+@pytest.mark.parametrize("quiver", [
+    zigzag_quiver(3),
+    linear_quiver(3),
+    linear_quiver(4),
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)]),  # A4 of the deficient fixture
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)]),  # D4 into the center
+    Quiver([1, 2, 3, 4, 5], [(1, 2), (3, 2), (4, 2), (5, 4)]),  # D5 into the center
+])
+def test_fold_positions_leave_no_ext(quiver):
+    # the check inside fold_positions reads hom and the Euler form; here
+    # Ext^1 comes from its own solve
+    cat = get_catalog(quiver, 2)
+    position = cat.fold_positions()
+    assert sorted(position.values()) == list(range(len(cat.labels)))
+    for a in cat.labels:
+        for b in cat.labels:
+            if position[a] <= position[b]:
+                assert reps.ext1_dim(cat.models[a], cat.models[b]) == 0, (a, b)
+
+
+def test_fold_positions_reject_an_order_with_ext():
+    # on 1 -> 2, Ext^1(S1, S2) != 0, so S1 may not come before S2
+    cat = Catalog(linear_quiver(2), PrimeField(2))
+    cat._order = cat._topological_order()[::-1]
+    with pytest.raises(CatalogError, match="Ext"):
+        cat.fold_positions()

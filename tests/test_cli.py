@@ -61,13 +61,15 @@ def test_classify_verb(capsys, arrow_file):
 
 
 def test_classify_max_prime(capsys, arrow_file):
-    # chi = 6: 2 * 3 * 5 > 6 decodes, 7 and 11 are held out
+    # the product is checked at p = 2 and 3; max_prime caps the decodes of
+    # the per-summand polynomials, which for these thin summands (chi <= 1)
+    # count at 2 and hold out 3 and 5
     out = run(capsys, "classify", "--quiver", arrow_file,
-              "--proj", "1,1", "--inj", "1,1", "--max-prime", "11")
-    assert json.loads(out)["primes"] == [2, 3, 5, 7, 11]
-    with pytest.raises(CountError, match=r"p=11, above max_prime=7"):
+              "--proj", "1,1", "--inj", "1,1", "--max-prime", "5")
+    assert json.loads(out)["primes"] == [2, 3]
+    with pytest.raises(CountError, match=r"p=5, above max_prime=3"):
         main(["classify", "--quiver", arrow_file,
-              "--proj", "1,1", "--inj", "1,1", "--max-prime", "7"])
+              "--proj", "1,1", "--inj", "1,1", "--max-prime", "3"])
 
 
 @pytest.mark.parametrize("flag", [

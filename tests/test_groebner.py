@@ -276,8 +276,8 @@ def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     pointcount.count_points(m, (1, 2, 1, 1), 3)  # not a point root: enumerates
     memos = {"quivergrass.groebner": {"_lead_tables", "_monomials"},
              "quivergrass.pointcount": {"_cached_enum", "_gauss_table", "_cheapest_root",
-                                        "_summand_point_ranks", "_indecomposable_chi",
-                                        "_chi_terms"}}
+                                        "_summand_point_ranks", "_indecomposable_poly",
+                                        "_summand_terms", "_box", "_power_table"}}
     for module_name, expected in memos.items():
         module = sys.modules[module_name]
         cleared = []

@@ -15,6 +15,7 @@ from quivergrass.pointcount import (
     _choose_root,
     _count_and_decode,
     _indecomposable_chi,
+    _product,
     _schedule,
     brute_force_count,
     classify,
@@ -444,3 +445,103 @@ def test_chi_product_equals_the_knapsack(cfg_name, request):
     for iso in cfg.poset.nodes:
         m = cfg.catalog_at(2).realize(iso)
         assert euler_characteristic(m, cfg.e) == _knapsack_chi(cfg.quiver, iso, cfg.e)
+
+
+# -- the twisted product over catalog summands -----------------------------
+
+def _q_binomial(n, k):
+    """Coefficients of [n, k]_q = prod over i <= k of (1 - q^(n-k+i)) / (1 - q^i)."""
+    poly = [1]
+    for i in range(1, k + 1):
+        a = n - k + i
+        poly = poly + [0] * a
+        for j in range(len(poly) - 1, a - 1, -1):
+            poly[j] -= poly[j - a]
+        for j in range(i, len(poly)):  # exact division by 1 - q^i
+            poly[j] += poly[j - i]
+        poly = _strip(poly)
+    return poly
+
+
+def test_product_past_two_to_the_64_stays_exact():
+    # Gr_70(F^140) as 140 copies of a simple: the fields are sized from the
+    # bound 2^140 on chi, and the largest coefficient exceeds 2^64
+    q = zigzag_quiver(3)
+    cat = get_catalog(q, 2)
+    m = cat.realize(Isoclass({cat.simple_label(1): 140}))
+    expected = _q_binomial(140, 70)
+    assert max(expected) > 2**64 and sum(expected) == math.comb(140, 70)
+    assert _product(m, (0, 70, 0))[0] == expected
+
+
+def test_check_mismatch_is_typed(eq_a3_cfg):
+    # the matrices are one node's, the recorded isoclass another's of the
+    # same dimension: the product reads the record, the DP the matrices
+    cfg = eq_a3_cfg
+
+    def honest(iso):
+        return classify(lambda p: cfg.catalog_at(p).realize(iso), cfg.e).polynomial
+
+    real = cfg.generic()
+    counted = honest(real)(2)
+    recorded = next(iso for iso in cfg.poset.nodes if honest(iso)(2) != counted)
+
+    def mislabeled(p):
+        m = cfg.catalog_at(p).realize(real)
+        m.isoclass = recorded
+        return m
+
+    cls = classify(mislabeled, cfg.e)
+    assert not cls.consistent
+    assert cls.reason == (f"check mismatch at p=2: counted {counted}, "
+                          f"product gives {honest(recorded)(2)}")
+    assert cls.polynomial == honest(recorded) and sorted(cls.counts) == [2]
+
+
+def test_product_equals_newton_on_a_d4_sample(d4_center_cfg):
+    cfg = d4_center_cfg
+    nodes = cfg.poset.nodes
+    for iso in nodes[:: len(nodes) // 40][:40]:
+        def m_for_prime(p):
+            return cfg.catalog_at(p).realize(iso)
+        assert classify(m_for_prime, cfg.e).polynomial == _newton_schedule(m_for_prime, cfg.e)
+
+
+def test_product_equals_the_decoded_counts_on_eq_a3(eq_a3_report):
+    # Newton would need counts up to p = 41 here (degrees up to 10), which
+    # take minutes of enumeration; the decode needs primes whose product
+    # exceeds chi, and two held-out primes must agree with it
+    cfg = eq_a3_report.config
+    assert len(eq_a3_report.classifications) == len(cfg.poset.nodes) == 35
+    for iso, cls in eq_a3_report.classifications.items():
+        coeffs = [int(c) for c in cls.polynomial.coeffs]
+        primes, heldout = _schedule(sum(coeffs))
+
+        def count_at(p):
+            return count_points(cfg.catalog_at(p).realize(iso), cfg.e, p)
+
+        assert _count_and_decode(count_at, primes, heldout, sum(coeffs),
+                                 exact=True)[1:] == (coeffs, "")
+
+
+D5_CENTER = Quiver([1, 2, 3, 4, 5], [(1, 2), (3, 2), (4, 2), (5, 4)])
+
+
+@pytest.mark.parametrize("which", ["P+I", "mixed", "semisimple"])
+def test_product_equals_dp_on_d5_isoclasses(which):
+    # three isoclasses of dimension d = (3, 6, 3, 4, 4); no root is a point
+    # root, so the DP reads the matrices of a copy without the record
+    cfg = PrincipalConfig(D5_CENTER, (1,) * 5, (1,) * 5)
+    cat = cfg.catalog_at(2)
+    iso = {
+        "P+I": cfg.proj_iso + cfg.inj_iso,
+        "mixed": cat.parse_isoclass("V(1,2,1,2,1) + V(1,2,1,1,1) + V(1,1,1,1,1) + "
+                                    "V(0,1,0,0,0) + V(0,0,0,0,1)"),
+        "semisimple": Isoclass({cat.simple_label(v): cfg.d[v] for v in range(5)}),
+    }[which]
+    assert iso.dims(5) == cfg.d == (3, 6, 3, 4, 4)
+    m = cat.realize(iso)
+    copy = Representation(m.quiver, m.field, m.dims, m.maps)
+    coeffs = _product(m, cfg.e)[0]
+    assert _product(copy, cfg.e)[0] == coeffs  # the decomposed summands
+    assert count_points(copy, cfg.e, 2) == _value(coeffs, 2)
