@@ -18,11 +18,9 @@ def main():
     cfg = PrincipalConfig(zigzag_quiver(3), (1, 1, 1), (1, 1, 1))
     report = classify_all(cfg)
     print(f"zigzag A3, d = {cfg.d}, expected dimension {cfg.expected_dim}")
-    for which in "BCDE":
+    for which in "BCDEA":
         v = check_conjecture(cfg, which, report=report)
         print(f"  conjecture {which}: holds={v.holds}  ({v.summary})")
-    v = check_conjecture(cfg, "A")
-    print(f"  conjecture A: holds={v.holds}  ({v.summary})")
 
     print("\nD4 subspace quiver, P = P1 + P3 + P4, full injectives:")
     d4 = Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)])

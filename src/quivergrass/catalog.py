@@ -60,6 +60,8 @@ class Isoclass:
             if mult:
                 items[label] += mult
         self.counts = dict(sorted(items.items()))
+        # isoclasses key reports, loci and poset positions: hash once
+        self._hash = hash(tuple(self.counts.items()))
 
     def dims(self, n: int) -> tuple[int, ...]:
         d = [0] * n
@@ -72,7 +74,7 @@ class Isoclass:
         return isinstance(other, Isoclass) and self.counts == other.counts
 
     def __hash__(self):
-        return hash(tuple(self.counts.items()))
+        return self._hash
 
     def __add__(self, other):
         c = Counter(self.counts)

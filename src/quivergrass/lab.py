@@ -5,7 +5,8 @@ Dynkin quiver; the ambient dimension vector is d = dim P + dim I and the
 subspace dimension is e = dim P.  Every isoclass of dimension d is
 classified by exact point counting, which stratifies the degeneration
 poset into the loci of minimal dimension (gamma2) and of minimal dimension
-with a single top component (gamma1, an irreducibility proxy).
+with a single top component (gamma1, an irreducibility proxy).  Conjectures
+A and E read one Hilbert table per node and scope, kept on the report.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def _multiplicity_iso(mult, label_of) -> Isoclass:
 
 @dataclass
 class ExperimentReport:
-    """Everything classify_all learns about one principal configuration."""
+    """Everything classify_all learns about one principal configuration,
+    and the Hilbert tables of conjectures A and E."""
 
     config: PrincipalConfig
     classifications: dict = dc_field(default_factory=dict)
@@ -149,10 +151,21 @@ class ExperimentReport:
     gamma2: list = dc_field(default_factory=list)
     gaps: list = dc_field(default_factory=list)
     verdicts: dict = dc_field(default_factory=dict)
+    hilbert: dict = dc_field(default_factory=dict, init=False)
 
     @property
     def poset(self) -> IsoclassPoset:
         return self.config.poset
+
+    def hilbert_values(self, iso: Isoclass, scope: str) -> list[int]:
+        """Hilbert values of iso's ``scope`` ideal over ``_box(n, scope)``,
+        computed on first use."""
+        key, cfg = (iso, scope), self.config
+        if key not in self.hilbert:
+            ring, gens = ideal(cfg.catalog.realize(iso), cfg.e, scope=scope)
+            table = hilbert_table(ring, gens, cfg.catalog_prime, _box(cfg.quiver.n, scope))
+            self.hilbert[key] = [row["dim"] for row in table]
+        return self.hilbert[key]
 
     def classification(self, iso: Isoclass) -> Classification:
         return self.classifications[iso]
@@ -211,8 +224,8 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
             if report.classifications[x].top_count == 1 and dims[x] == min_dim
         ]
         if not report.gaps:
-            poset.lower_ideal(lambda x: x in set(report.gamma2))
-            poset.lower_ideal(lambda x: x in set(report.gamma1))
+            for locus in (set(report.gamma2), set(report.gamma1)):
+                poset.lower_ideal(locus.__contains__)
     return report
 
 
@@ -349,16 +362,13 @@ def hom_criterion_set(cfg: PrincipalConfig) -> HomCriterion:
     proj_labels = {cat.projective_label(i) for i in range(cfg.quiver.n)}
     non_inj = [b for b, lab in enumerate(cat.labels) if lab not in inj_labels]
     non_proj = [b for b, lab in enumerate(cat.labels) if lab not in proj_labels]
-    bound = cat.dual_iso_fingerprint(cfg.proj_iso)
-    dual_bound = cat.iso_fingerprint(cfg.inj_iso)
-    members, dual_members = [], []
-    for iso in poset.nodes:
-        fp = cat.dual_iso_fingerprint(iso)
-        if all(fp[b] <= bound[b] + 1 for b in non_inj):
-            members.append(iso)
-        dfp = cat.iso_fingerprint(iso)
-        if all(dfp[b] <= dual_bound[b] + 1 for b in non_proj):
-            dual_members.append(iso)
+    mult, h = poset.multiplicities, cat.hom_matrix()
+    bound = cat.dual_iso_fingerprint(cfg.proj_iso)[non_inj] + 1
+    dual_bound = cat.iso_fingerprint(cfg.inj_iso)[non_proj] + 1
+    is_member = ((mult @ h)[:, non_inj] <= bound).all(axis=1)  # hom(M, X)
+    is_dual_member = ((mult @ h.T)[:, non_proj] <= dual_bound).all(axis=1)  # hom(X, M)
+    members = [x for x, ok in zip(poset.nodes, is_member) if ok]
+    dual_members = [x for x, ok in zip(poset.nodes, is_dual_member) if ok]
     return HomCriterion(
         members=members,
         sinks=poset.sinks(members),
@@ -377,41 +387,41 @@ class Verdict:
     details: dict = dc_field(default_factory=dict)
 
 
-def _hilbert_dims(cfg: PrincipalConfig, iso: Isoclass, degrees, scope: str) -> list[int]:
-    ring, gens = ideal(cfg.catalog.realize(iso), cfg.e, scope=scope)
-    return [row["dim"] for row in hilbert_table(ring, gens, cfg.catalog_prime, degrees)]
+# E compares arrow tables over m <= 2 and A both scopes over m <= 1; an arrow
+# basis truncated at total degree 2n is exact in every lower degree.
+_HILBERT_BOX = {"arrows": 2, "paths": 1}
+
+
+def _box(n: int, scope: str) -> list[tuple[int, ...]]:
+    return list(itertools.product(range(_HILBERT_BOX[scope] + 1), repeat=n))
 
 
 def check_conjecture(cfg: PrincipalConfig, which: str, *,
-                     report: ExperimentReport | None = None,
-                     max_multidegree: int = 1) -> Verdict:
-    """Evaluate one of the five conjecture-style statements A-E."""
-    which = which.upper()
-    if which == "A":
-        return _check_a(cfg, max_multidegree)
+                     report: ExperimentReport | None = None) -> Verdict:
+    """Evaluate one of the five conjecture-style statements A-E.
+
+    Without a report, A reads Hilbert values into a bare report and B-E
+    classify the configuration first."""
+    check = {"A": _check_a, "B": _check_b, "C": _check_c,
+             "D": _check_d, "E": _check_e}.get(which.upper())
+    if check is None:
+        raise LabError(f"unknown conjecture {which!r}")
     if report is None:
-        report = classify_all(cfg)
-    if which == "B":
-        return _check_b(cfg, report)
-    if which == "C":
-        return _check_c(cfg, report)
-    if which == "D":
-        return _check_d(cfg, report)
-    if which == "E":
-        return _check_e(cfg, report, max(max_multidegree, 2))
-    raise LabError(f"unknown conjecture {which!r}")
+        report = ExperimentReport(cfg) if check is _check_a else classify_all(cfg)
+    return check(cfg, report)
 
 
-def _check_a(cfg: PrincipalConfig, max_multidegree: int) -> Verdict:
+def _check_a(cfg: PrincipalConfig, report: ExperimentReport) -> Verdict:
     """Probe: does adding path relations to arrow relations change any
-    Hilbert value?  A strict drop means the arrow ideal alone is too small;
-    no verdict on reducedness is implied either way."""
-    degrees = list(itertools.product(range(max_multidegree + 1), repeat=cfg.quiver.n))
+    Hilbert value at m <= 1?  A strict drop means the arrow ideal alone is
+    too small; no verdict on reducedness is implied either way."""
+    degrees = _box(cfg.quiver.n, "paths")
+    inner = [_box(cfg.quiver.n, "arrows").index(mm) for mm in degrees]
     drops = []
-    nodes = cfg.poset.nodes
+    nodes = report.poset.nodes
     for iso in nodes:
-        arrows = _hilbert_dims(cfg, iso, degrees, "arrows")
-        paths = _hilbert_dims(cfg, iso, degrees, "paths")
+        arrows = [report.hilbert_values(iso, "arrows")[k] for k in inner]
+        paths = report.hilbert_values(iso, "paths")
         if any(pa > ar for ar, pa in zip(arrows, paths)):
             raise LabError("path ideal smaller than arrow ideal (impossible)")
         strict = [list(mm) for mm, ar, pa in zip(degrees, arrows, paths) if pa < ar]
@@ -479,13 +489,11 @@ def _check_d(cfg: PrincipalConfig, report: ExperimentReport) -> Verdict:
     )
 
 
-def _check_e(cfg: PrincipalConfig, report: ExperimentReport,
-             max_multidegree: int) -> Verdict:
-    """dim Pl_m(M) >= dim Pl_m(M0) everywhere, with equality at every m
+def _check_e(cfg: PrincipalConfig, report: ExperimentReport) -> Verdict:
+    """dim Pl_m(M) >= dim Pl_m(M0) at every m <= 2, with equality at every m
     exactly on the minimal-dimension locus."""
-    degrees = list(itertools.product(range(max_multidegree + 1), repeat=cfg.quiver.n))
     generic = cfg.generic()
-    tables = {iso: _hilbert_dims(cfg, iso, degrees, "arrows") for iso in report.poset.nodes}
+    tables = {iso: report.hilbert_values(iso, "arrows") for iso in report.poset.nodes}
     base = tables[generic]
     violations = []
     equal_set = []

@@ -239,13 +239,13 @@ def count_points(m: Representation, e, p: int, *,
         compatible with U_v, indexed by dim A^{-1}(U_v) for an arrow
         A: child -> v and by dim B(U_v) for an arrow B: v -> child."""
         dc, ec = m.dims[child], e[child]
-        if q.source(_edge_arrow(q, child, v)) == child:
+        if q.source(q.edge_arrow[child, v]) == child:
             return [gauss[n][ec] for n in range(dc + 1)]
         return [gauss[dc - r][ec - r] if r <= ec else 0 for r in range(min(e[v], dc) + 1)]
 
     def closed_message(child: int, v: int) -> _Coded:
         """Message of an unweighted leaf ``child`` into ``v``, per U_v."""
-        a = _edge_arrow(q, child, v)
+        a = q.edge_arrow[child, v]
         ev = enum(v)
         if q.source(a) == child:  # arrow child -> v, map A: M_child -> M_v
             # dim of the preimage of U under A, then count subspaces inside
@@ -264,7 +264,7 @@ def count_points(m: Representation, e, p: int, *,
         """The leaf message (g0, g1) at a point root v: it reads only
         t = dim(U_v & Y_c), which is the bit [u in Y_c] for a line U_v = <u>
         and dim Y_c - 1 + [phi kills Y_c] for a hyperplane U_v = ker phi."""
-        into = q.source(_edge_arrow(q, child, v)) == child
+        into = q.source(q.edge_arrow[child, v]) == child
         values = leaf_values(child, v)
 
         def g(bit: int) -> int:
@@ -277,7 +277,7 @@ def count_points(m: Representation, e, p: int, *,
 
     def pair_message(child: int, v: int, w_child: np.ndarray) -> np.ndarray:
         """Fallback: explicit containment sum for a weighted child."""
-        a = _edge_arrow(q, child, v)
+        a = q.edge_arrow[child, v]
         ec, ev = enum(child), enum(v)
         if ec.size * ev.size > pair_budget:
             raise CountError(
@@ -352,7 +352,7 @@ def _point_ranks(m: Representation, root: int, line: bool) -> tuple[int, ...]:
     q, f, d = m.quiver, m.field, m.dims[root]
     dim_ys, blocks = [], []
     for c in q.neighbors()[root]:
-        a = _edge_arrow(q, c, root)
+        a = q.edge_arrow[c, root]
         into = q.source(a) == c
         w = m.maps[a].T if into else m.maps[a]
         if line == into:  # the rows are the other side of W: its kernel
@@ -392,13 +392,6 @@ def _point_root_sum(p: int, d: int, gs: list[tuple[int, int]], ranks: list[int])
             weight *= g1 - g0 if bit else g0
         total += weight * ((p ** (d - rank) - 1) // (p - 1))
     return total
-
-
-def _edge_arrow(q: Quiver, u: int, v: int) -> int:
-    for a, (s, t) in enumerate(q.arrows):
-        if {s, t} == {u, v}:
-            return a
-    raise CountError("no arrow between adjacent vertices (internal error)")
 
 
 def _containment(f: PrimeField, vecs: np.ndarray, spaces: np.ndarray, e_space: int) -> np.ndarray:

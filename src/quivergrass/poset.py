@@ -1,9 +1,9 @@
 """The degeneration poset of isoclasses of a fixed dimension vector.
 
 Ordering is the Bongartz criterion: M <= N (M degenerates to N) iff
-dim Hom(M, X) <= dim Hom(N, X) for every indecomposable X.  Hom fingerprints
-against the catalog are precomputed once per node, so poset construction is
-integer comparisons only.
+dim Hom(M, X) <= dim Hom(N, X) for every indecomposable X.  All fingerprints
+come from one product of the node x label multiplicity matrix with the
+catalog's Hom matrix, and every query reads the order matrix.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def generic_isoclass(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) -> I
     hits = []
     for iso in enumerate_isoclasses(cat, d, budget=budget):
         # end_dim from the Hom matrix; rigid iff it equals <d, d>
-        if _iso_end_dim(cat, iso) == euler_dd:
+        mult = cat.multiplicities(iso)
+        if mult @ cat.hom_matrix() @ mult == euler_dd:
             hits.append(iso)
     if len(hits) != 1:
         raise PosetError(f"found {len(hits)} rigid isoclasses for d={d} (internal error)")
@@ -135,19 +136,17 @@ def generic_isoclass(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) -> I
     return hits[0]
 
 
-def _iso_end_dim(cat: Catalog, iso: Isoclass) -> int:
-    mult = cat.multiplicities(iso)
-    return int(mult @ cat.hom_matrix() @ mult)
-
-
 class IsoclassPoset:
-    """Degeneration poset of all isoclasses of one dimension vector."""
+    """Degeneration poset of all isoclasses of one dimension vector: the
+    order matrix ``leq`` and the node x label ``multiplicities``."""
 
     def __init__(self, cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET):
         self.catalog = cat
         self.d = cat.quiver.check_dimvector(d)
         self.nodes = enumerate_isoclasses(cat, d, budget=budget)
-        fps = np.array([cat.dual_iso_fingerprint(iso) for iso in self.nodes])
+        self._position = {x: i for i, x in enumerate(self.nodes)}
+        self.multiplicities = np.array([cat.multiplicities(iso) for iso in self.nodes])
+        fps = self.multiplicities @ cat.hom_matrix()  # dual fingerprints, hom(M, X_a)
         n = len(self.nodes)
         # leq[i, j]: node i degenerates to node j
         self.leq = np.zeros((n, n), dtype=bool)
@@ -162,51 +161,44 @@ class IsoclassPoset:
         return len(self.nodes)
 
     def index(self, iso: Isoclass) -> int:
-        return self.nodes.index(iso)
+        return self._position[iso]
 
     def less_equal(self, m: Isoclass, n: Isoclass) -> bool:
         return bool(self.leq[self.index(m), self.index(n)])
 
     def minimal_element(self) -> Isoclass:
-        mins = [self.nodes[i] for i in range(len(self)) if self.leq[i].all()]
+        mins = np.flatnonzero(self.leq.all(axis=1))
         if len(mins) != 1:
             raise PosetError("poset lacks a unique minimal element (internal error)")
-        return mins[0]
+        return self.nodes[mins[0]]
 
     def maximal_elements(self) -> list[Isoclass]:
-        n = len(self)
-        strict = self.leq & ~np.eye(n, dtype=bool)
-        return [self.nodes[j] for j in range(n) if not strict[j].any()]
+        return self.sinks(self.nodes)
 
     def hasse(self) -> list[tuple[Isoclass, Isoclass]]:
-        """Cover relations: the transitive reduction of the order."""
-        n = len(self)
-        strict = self.leq & ~np.eye(n, dtype=bool)
-        covers = []
-        for i in range(n):
-            for j in range(n):
-                if strict[i, j] and not (strict[i] & strict[:, j]).any():
-                    covers.append((self.nodes[i], self.nodes[j]))
-        return covers
+        """Cover relations, the transitive reduction of the order, row by row.
+
+        i < j is a cover unless some k has i < k < j.  The two-step counts
+        come from a float32 (BLAS) product, exact below 2^24 nodes."""
+        strict = self.leq & ~np.eye(len(self), dtype=bool)
+        s = strict.astype(np.float32)
+        rows, cols = np.nonzero(strict & ~((s @ s) > 0))
+        return [(self.nodes[i], self.nodes[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
     def lower_ideal(self, predicate) -> list[Isoclass]:
         """Nodes satisfying a predicate; errors unless downward closed."""
-        member = [bool(predicate(x)) for x in self.nodes]
-        n = len(self)
-        for i in range(n):
-            for j in range(n):
-                if self.leq[i, j] and member[j] and not member[i]:
-                    raise PosetError("predicate is not downward closed")
-        return [x for x, ok in zip(self.nodes, member) if ok]
+        member = np.array([bool(predicate(x)) for x in self.nodes], dtype=bool)
+        # some non-member i below a member j
+        if self.leq[np.ix_(~member, member)].any():
+            raise PosetError("predicate is not downward closed")
+        return [x for x, ok in zip(self.nodes, member.tolist()) if ok]
 
     def sinks(self, subset) -> list[Isoclass]:
-        """Maximal elements of a sub-poset given as a node collection."""
-        sub = [self.index(x) for x in subset]
-        out = []
-        for j in sub:
-            if not any(i != j and self.leq[j, i] for i in sub):
-                out.append(self.nodes[j])
-        return out
+        """Maximal elements of a sub-poset given as a node collection, in
+        the collection's order."""
+        sub = np.array([self.index(x) for x in subset], dtype=np.intp)
+        above = self.leq[np.ix_(sub, sub)] & (sub[:, None] != sub[None, :])
+        return [self.nodes[j] for j, up in zip(sub.tolist(), above.any(axis=1).tolist()) if not up]
 
     # -- exports -----------------------------------------------------------
 

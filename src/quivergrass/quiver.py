@@ -55,6 +55,8 @@ class Quiver:
             seen_edges.add(edge)
             arrow_list.append((self._index[s], self._index[t]))
         self.arrows = tuple(arrow_list)  # internal (source, target) pairs
+        # the arrow on each edge, keyed by its endpoints in either order
+        self.edge_arrow = {e: a for a, (s, t) in enumerate(self.arrows) for e in ((s, t), (t, s))}
         if len(self.arrows) != self.n - 1:
             raise QuiverError("underlying graph is not a tree (wrong edge count)")
         if self.n and not self._connected():

@@ -236,8 +236,7 @@ def test_criterion_12_hilbert_formulas(zigzag3_cfg, d4_center_cfg):
 
 
 def test_criterion_13_multigraded_dimension_probe(zigzag3_cfg, zigzag3_report):
-    verdict = check_conjecture(zigzag3_cfg, "E", report=zigzag3_report,
-                               max_multidegree=2)
+    verdict = check_conjecture(zigzag3_cfg, "E", report=zigzag3_report)
     assert verdict.holds is True
     assert not verdict.details["violations"]
 

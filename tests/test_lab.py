@@ -256,18 +256,23 @@ def test_one_poset_build_per_configuration(monkeypatch):
 
 def test_conjecture_e_one_table_per_node(monkeypatch, zigzag3_cfg, zigzag3_report):
     calls = []
-    real = lab._hilbert_dims
+    real = lab.ideal
 
-    def counting(cfg, iso, degrees, scope):
-        calls.append(iso)
-        return real(cfg, iso, degrees, scope)
+    def counting(m, e, *, scope):
+        calls.append((m.isoclass, scope))
+        return real(m, e, scope=scope)
 
-    monkeypatch.setattr(lab, "_hilbert_dims", counting)
-    v = check_conjecture(zigzag3_cfg, "E", report=zigzag3_report)
-    assert len(calls) == len(zigzag3_report.poset.nodes) == 26
-    assert len(set(calls)) == 26
-    assert v.holds is True
-    assert v.summary == ("lower bound violated on 0 nodes; table equality on "
+    monkeypatch.setattr(lab, "ideal", counting)
+    report = lab.ExperimentReport(zigzag3_cfg, gamma2=zigzag3_report.gamma2)
+    a = check_conjecture(zigzag3_cfg, "A", report=report)
+    e = check_conjecture(zigzag3_cfg, "E", report=report)
+    nodes = zigzag3_report.poset.nodes
+    assert len(nodes) == 26
+    assert sorted(calls, key=str) == sorted(
+        [(iso, scope) for iso in nodes for scope in ("arrows", "paths")], key=str)
+    assert a.summary == "path relations strictly refine arrow relations on 0/26 nodes"
+    assert e.holds is True
+    assert e.summary == ("lower bound violated on 0 nodes; table equality on "
                          "18 nodes vs |gamma2| = 18")
 
 

@@ -1,10 +1,13 @@
 import itertools
 import json
+import random
 
+import numpy as np
 import pytest
 
 from quivergrass.catalog import Isoclass, get_catalog
 from quivergrass.poset import (
+    IsoclassPoset,
     PosetError,
     build_poset,
     degenerates_to,
@@ -188,3 +191,75 @@ def test_json_and_dot_are_deterministic():
     data = json.loads(p1.to_json())
     assert len(data["nodes"]) == len(p1.nodes)
     assert p1.to_dot().startswith("digraph")
+
+
+# -- the order-matrix queries against the double loops they replaced --------
+
+def reference_hasse(poset):
+    n = len(poset)
+    strict = poset.leq & ~np.eye(n, dtype=bool)
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if strict[i, j] and not (strict[i] & strict[:, j]).any():
+                covers.append((poset.nodes[i], poset.nodes[j]))
+    return covers
+
+
+def reference_lower_ideal(poset, predicate):
+    member = [bool(predicate(x)) for x in poset.nodes]
+    n = len(poset)
+    for i in range(n):
+        for j in range(n):
+            if poset.leq[i, j] and member[j] and not member[i]:
+                raise PosetError("predicate is not downward closed")
+    return [x for x, ok in zip(poset.nodes, member) if ok]
+
+
+def reference_sinks(poset, subset):
+    sub = [poset.nodes.index(x) for x in subset]
+    return [poset.nodes[j] for j in sub
+            if not any(i != j and poset.leq[j, i] for i in sub)]
+
+
+def reference_maximal_elements(poset):
+    n = len(poset)
+    strict = poset.leq & ~np.eye(n, dtype=bool)
+    return [poset.nodes[j] for j in range(n) if not strict[j].any()]
+
+
+def lower_ideal_outcome(query, poset, members):
+    try:
+        return query(poset, members.__contains__)
+    except PosetError:
+        return "rejected"
+
+
+@pytest.mark.parametrize("source", [
+    "zigzag3_cfg", "eq_a3_cfg", "p1xp1_cfg", "a4_cfg", "d4_center_cfg",
+    (linear_quiver(2), (2, 2)), (zigzag_quiver(3), (1, 2, 1)),
+])
+def test_queries_equal_the_reference_loops(request, source):
+    if isinstance(source, str):
+        poset = request.getfixturevalue(source).poset
+    else:
+        poset = build_poset(get_catalog(source[0]), source[1])
+    nodes = poset.nodes
+    rng = random.Random(len(nodes))
+    assert poset.hasse() == reference_hasse(poset)
+    assert poset.maximal_elements() == reference_maximal_elements(poset)
+    assert [poset.index(x) for x in nodes] == list(range(len(nodes)))
+    outcomes = []
+    for _ in range(5):
+        subset = rng.sample(nodes, rng.randint(0, len(nodes)))
+        assert poset.sinks(subset) == reference_sinks(poset, subset)
+        top = rng.choice(nodes)
+        below = {x for x in nodes if poset.less_equal(x, top)}
+        assert (lower_ideal_outcome(IsoclassPoset.lower_ideal, poset, below)
+                == lower_ideal_outcome(reference_lower_ideal, poset, below)
+                == [x for x in nodes if x in below])
+        outcome = lower_ideal_outcome(IsoclassPoset.lower_ideal, poset, set(subset))
+        assert outcome == lower_ideal_outcome(reference_lower_ideal, poset, set(subset))
+        outcomes.append(outcome)
+    if len(nodes) > 2:
+        assert "rejected" in outcomes  # a random subset that is not downward closed
