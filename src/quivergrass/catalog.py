@@ -3,7 +3,9 @@
 For a Dynkin quiver the indecomposables biject with positive roots.  The
 catalog holds one canonical matrix model per positive root, generated by a
 deterministic chain of reflection functors from simples, so every run is
-bit-reproducible.  Isoclasses are multisets of catalog labels; ``realize``
+bit-reproducible.  The chain (roots, sink sequence, orientations and the
+word per root) does not depend on the prime: it is planned once per quiver,
+and a catalog over F_p only runs the reflection functors.  Isoclasses are multisets of catalog labels; ``realize``
 records the isoclass on the module it builds, and ``decompose`` recovers it
 from any module through Hom-dimension fingerprints.
 """
@@ -143,6 +145,53 @@ def _admissible_sink_sequence(q: Quiver) -> list[int]:
     return seq
 
 
+@lru_cache(maxsize=None)
+def _reflection_plan(q: Quiver) -> tuple:
+    """The prime-independent part of a catalog build, once per quiver.
+
+    Walks the periodic reflection word k_1 k_2 ... of the admissible sink
+    sequence.  Root beta_t = s_{k_1} ... s_{k_{t-1}} (e_{k_t}) is new when
+    it is positive and not yet found; its model is the simple at k_t over
+    the t-th orientation, reflected back along k_{t-1}, ..., k_1.  Returns
+    (word, orientations, starts): ``starts`` holds (label, t, k_t) per
+    positive root in label order, and ``orientations[j]`` is Q reversed
+    at k_1, ..., k_j.
+    """
+    roots = positive_roots(q)
+    base_seq = _admissible_sink_sequence(q)
+    adj = q.neighbors()
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
+    quivers = [q]
+    seq: list[int] = []
+    t = 0
+    while len(found) < len(roots):
+        k = base_seq[t % q.n]
+        if t > 4 * len(roots):
+            raise CatalogError("reflection word failed to exhaust the roots")
+        if not quivers[-1].is_sink(k):
+            raise CatalogError("sequence is not admissible (internal error)")
+        beta = [1 if i == k else 0 for i in range(q.n)]
+        for j in reversed(seq):
+            beta[j] = sum(beta[i] for i in adj[j]) - beta[j]
+        beta = tuple(beta)
+        if beta in roots and beta not in found:
+            found[beta] = (t, k)
+        seq.append(k)
+        quivers.append(quivers[-1].reversed_at(quivers[-1].name(k)))
+        t += 1
+    starts = tuple((_label_for(q, dims), *found[dims]) for dims in sorted(found))
+    return tuple(seq), tuple(quivers), starts
+
+
+def _label_for(q: Quiver, dims: tuple[int, ...]) -> IndecLabel:
+    if q.dynkin == "A":
+        order = q.path_order()
+        support = [pos for pos, v in enumerate(order) if dims[v]]
+        i, j = support[0] + 1, support[-1] + 1
+        return IndecLabel(dims, f"U({i},{j})")
+    return IndecLabel(dims, "V(" + ",".join(str(x) for x in dims) + ")")
+
+
 class Catalog:
     """Canonical indecomposable models for a Dynkin quiver over F_p."""
 
@@ -154,6 +203,8 @@ class Catalog:
         self.labels: list[IndecLabel] = []
         self.models: dict[IndecLabel, Representation] = {}
         self._build()
+        self._position = {lab: a for a, lab in enumerate(self.labels)}
+        self._by_dims = {lab.dims: lab for lab in self.labels}
         self._hom_matrix: np.ndarray | None = None
         self._order: list[int] | None = None
         self._fold: dict[IndecLabel, int] | None = None
@@ -161,69 +212,30 @@ class Catalog:
     # construction
 
     def _build(self):
-        q = self.quiver
-        roots = positive_roots(q)
-        base_seq = _admissible_sink_sequence(q)
-        n_roots = len(roots)
-        found: dict[tuple[int, ...], Representation] = {}
-        # quiver orientations along the periodic reflection word
-        quivers = [q]
-        seq: list[int] = []
-        t = 0
-        while len(found) < n_roots:
-            k = base_seq[t % q.n]
-            if t > 4 * n_roots:
-                raise CatalogError("reflection word failed to exhaust the roots")
-            if not quivers[-1].is_sink(k):
-                raise CatalogError("sequence is not admissible (internal error)")
-            # dim vector beta_t = s_{k_1} ... s_{k_{t-1}} (e_{k_t})
-            beta = self._reflect_word(seq, self._unit(k))
-            if all(x >= 0 for x in beta) and tuple(beta) in roots and tuple(beta) not in found:
-                m = reps.simple(quivers[-1], self.field, k)
-                for j in range(len(seq) - 1, -1, -1):
-                    # k_j is a source of quivers[j+1]; reflect back toward Q
-                    m = reps.reflection_functor(m, seq[j])
-                    if m.quiver != quivers[j]:
-                        raise CatalogError("reflection bookkeeping error")
-                if m.dims != tuple(beta):
-                    raise CatalogError("reflection functor produced a wrong dimension vector")
-                found[tuple(beta)] = m
-            seq.append(k)
-            quivers.append(quivers[-1].reversed_at(quivers[-1].name(k)))
-            t += 1
-        for dims in sorted(found):
-            label = self._label_for(dims)
+        """Run the quiver's reflection plan over this catalog's field."""
+        seq, quivers, starts = _reflection_plan(self.quiver)
+        for label, t, k in starts:
+            m = reps.simple(quivers[t], self.field, k)
+            for j in range(t - 1, -1, -1):
+                # k_j is a source of quivers[j+1]; reflect back toward Q
+                m = reps.reflection_functor(m, seq[j])
+                if m.quiver != quivers[j]:
+                    raise CatalogError("reflection bookkeeping error")
+            if m.dims != label.dims:
+                raise CatalogError("reflection functor produced a wrong dimension vector")
             self.labels.append(label)
-            self.models[label] = found[dims]
-        self.labels.sort()
+            self.models[label] = m
 
     def _unit(self, k: int):
         return [1 if i == k else 0 for i in range(self.quiver.n)]
-
-    def _reflect_word(self, word, v):
-        adj = self.quiver.neighbors()
-        out = list(v)
-        for k in reversed(word):
-            out[k] = sum(out[j] for j in adj[k]) - out[k]
-        return out
-
-    def _label_for(self, dims: tuple[int, ...]) -> IndecLabel:
-        q = self.quiver
-        if q.dynkin == "A":
-            order = q.path_order()
-            support = [pos for pos, v in enumerate(order) if dims[v]]
-            i, j = support[0] + 1, support[-1] + 1
-            return IndecLabel(dims, f"U({i},{j})")
-        return IndecLabel(dims, "V(" + ",".join(str(x) for x in dims) + ")")
 
     # lookup helpers
 
     def label_by_dims(self, dims) -> IndecLabel:
         dims = tuple(dims)
-        for lab in self.labels:
-            if lab.dims == dims:
-                return lab
-        raise CatalogError(f"{dims} is not a positive root of this quiver")
+        if dims not in self._by_dims:
+            raise CatalogError(f"{dims} is not a positive root of this quiver")
+        return self._by_dims[dims]
 
     def label_by_name(self, name: str) -> IndecLabel:
         for lab in self.labels:
@@ -322,7 +334,7 @@ class Catalog:
         """mult[a] = multiplicity of X_a in ``iso``."""
         mult = np.zeros(len(self.labels), dtype=np.int64)
         for label, k in iso.counts.items():
-            mult[self.labels.index(label)] = k
+            mult[self._position[label]] = k
         return mult
 
     def iso_fingerprint(self, iso: Isoclass) -> np.ndarray:

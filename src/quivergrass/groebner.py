@@ -308,9 +308,13 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     return _lead_tables(tuple(ring.block), tuple([g.lead for g in basis])).count(m)
 
 
+def _candidates(ring: PlueckerRing, m: tuple) -> int:
+    """prod_i C(k_i + m_i - 1, m_i): the multidegree-m monomials."""
+    return math.prod(math.comb(hi - lo + deg - 1, deg) for (lo, hi), deg in zip(ring.block, m))
+
+
 def _check_budget(ring: PlueckerRing, m: tuple, budget: int) -> None:
-    total = math.prod(math.comb(hi - lo + deg - 1, deg)
-                      for (lo, hi), deg in zip(ring.block, m))
+    total = _candidates(ring, m)
     if total > budget:
         raise GroebnerError(
             f"{total} candidate monomials of multidegree {list(m)} "
@@ -434,12 +438,25 @@ def _lead_tables(blocks: tuple, leads: tuple) -> _LeadTables:
 
 
 def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees) -> list[dict]:
-    """Entries {"m": [...], "dim": N} for each requested multidegree."""
-    degrees = [ring.quiver.check_dimvector(m) for m in degrees]
+    """Entries {"m": [...], "dim": N} for each requested multidegree.
+
+    The list is validated as a whole: its entrywise minimum and maximum are
+    checked as dimension vectors, and the maximum's candidate count bounds
+    every entry's, since C(k + d - 1, d) grows with d.  Only a maximum over
+    the budget sends the entries through the budget check one by one, so
+    the error names the first multidegree over it."""
+    q = ring.quiver
+    degrees = [tuple(map(int, m)) for m in degrees]
+    for m in degrees:
+        if len(m) != q.n:
+            q.check_dimvector(m)
+    if degrees:
+        q.check_dimvector(map(min, zip(*degrees)))
+        if _candidates(ring, tuple(map(max, zip(*degrees)))) > HILBERT_BUDGET:
+            for m in degrees:
+                _check_budget(ring, m, HILBERT_BUDGET)
     max_total = max((sum(m) for m in degrees), default=0)
     basis = groebner_basis(ring, gens, p, max_degree=max_total)
-    for m in degrees:
-        _check_budget(ring, m, HILBERT_BUDGET)
     tables = _lead_tables(tuple(ring.block), tuple([g.lead for g in basis]))
     return [{"m": list(m), "dim": tables.count(m)} for m in degrees]
 

@@ -1,9 +1,12 @@
 """The degeneration poset of isoclasses of a fixed dimension vector.
 
 Ordering is the Bongartz criterion: M <= N (M degenerates to N) iff
-dim Hom(M, X) <= dim Hom(N, X) for every indecomposable X.  All fingerprints
-come from one product of the node x label multiplicity matrix with the
-catalog's Hom matrix, and every query reads the order matrix.
+dim Hom(M, X) <= dim Hom(N, X) for every indecomposable X.  The nodes come
+from a knapsack over the catalog labels that enters only remainders some
+isoclass completes.  All fingerprints come from one product of the node x
+label multiplicity matrix with the catalog's Hom matrix, the order matrix
+is an AND of one comparison per label column, and every query reads the
+order matrix.
 """
 
 from __future__ import annotations
@@ -21,34 +24,46 @@ class PosetError(ValueError):
 
 
 DEFAULT_NODE_BUDGET = 20000
+_HASSE_ROWS = 512  # rows of the strict order per product in ``hasse``
 
 
 def enumerate_isoclasses(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) -> list[Isoclass]:
     """All multisets of catalog labels with dimension vectors summing to d.
 
-    Bounded knapsack over the positive roots, deterministic order.
+    Bounded knapsack over the positive roots, deterministic order: the first
+    label's multiplicity from its largest value down, then the next label's.
+    ``reach[idx]`` holds the vectors <= d that labels idx.. can sum to, so the
+    search enters only remainders that some isoclass completes.  Raises
+    ``PosetError`` at the (budget + 1)-th isoclass.
     """
     d = cat.quiver.check_dimvector(d)
-    labels = cat.labels
+    roots = [lab.dims for lab in cat.labels]
+    zero = (0,) * len(d)
+    reach = [{zero}]
+    for dims in reversed(roots):
+        level = set(reach[-1])
+        frontier = list(level)
+        while frontier:  # add one more copy of this label
+            grown = [tuple(a + b for a, b in zip(v, dims)) for v in frontier]
+            frontier = [w for w in grown
+                        if w not in level and all(x <= y for x, y in zip(w, d))]
+            level.update(frontier)
+        reach.append(level)
+    reach.reverse()
     out: list[Isoclass] = []
-    n = cat.quiver.n
 
     def rec(idx: int, remaining: tuple[int, ...], picked: list[tuple]):
-        if len(out) > budget:
-            raise PosetError(f"isoclass budget {budget} exceeded for d={d}")
-        if not any(remaining):
+        if remaining == zero:
+            if len(out) == budget:
+                raise PosetError(f"isoclass budget {budget} exceeded for d={d}")
             out.append(Isoclass(dict(picked)))
             return
-        if idx == len(labels):
-            return
-        lab = labels[idx]
-        max_mult = min(
-            (rem // x for rem, x in zip(remaining, lab.dims) if x),
-            default=0,
-        )
+        lab, dims, ahead = cat.labels[idx], roots[idx], reach[idx + 1]
+        max_mult = min((rem // x for rem, x in zip(remaining, dims) if x), default=0)
         for mult in range(max_mult, -1, -1):
-            rem2 = tuple(r - mult * x for r, x in zip(remaining, lab.dims))
-            rec(idx + 1, rem2, picked + [(lab, mult)] if mult else picked)
+            rem2 = tuple(r - mult * x for r, x in zip(remaining, dims))
+            if rem2 in ahead:
+                rec(idx + 1, rem2, picked + [(lab, mult)] if mult else picked)
 
     rec(0, d, [])
     return out
@@ -148,13 +163,17 @@ class IsoclassPoset:
         self.multiplicities = np.array([cat.multiplicities(iso) for iso in self.nodes])
         fps = self.multiplicities @ cat.hom_matrix()  # dual fingerprints, hom(M, X_a)
         n = len(self.nodes)
-        # leq[i, j]: node i degenerates to node j
-        self.leq = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            self.leq[i] = (fps[i][None, :] <= fps).all(axis=1)
-        # antisymmetry: equal fingerprints would mean isomorphic nodes
-        both = self.leq & self.leq.T
-        if (both != np.eye(n, dtype=bool)).any():
+        # leq[i, j]: node i degenerates to node j, an AND over the label
+        # columns; each column contiguous, in the smallest unsigned type
+        cols = np.ascontiguousarray(fps.T, dtype=np.min_scalar_type(fps.max()))
+        self.leq = np.ones((n, n), dtype=bool)
+        step = np.empty((n, n), dtype=bool)
+        for col in cols:
+            np.less_equal(col[:, None], col[None, :], out=step)
+            self.leq &= step
+        # antisymmetry (leq is reflexive): equal fingerprints would mean isomorphic nodes
+        np.logical_and(self.leq, self.leq.T, out=step)
+        if np.count_nonzero(step) != n:
             raise PosetError("distinct isoclasses with identical fingerprints")
 
     def __len__(self):
@@ -179,11 +198,18 @@ class IsoclassPoset:
         """Cover relations, the transitive reduction of the order, row by row.
 
         i < j is a cover unless some k has i < k < j.  The two-step counts
-        come from a float32 (BLAS) product, exact below 2^24 nodes."""
-        strict = self.leq & ~np.eye(len(self), dtype=bool)
-        s = strict.astype(np.float32)
-        rows, cols = np.nonzero(strict & ~((s @ s) > 0))
-        return [(self.nodes[i], self.nodes[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+        come from float32 (BLAS) products of ``_HASSE_ROWS`` rows of the
+        strict order at a time with the whole of it, exact below 2^24 nodes,
+        so no n x n product is held."""
+        s = self.leq.astype(np.float32)
+        np.fill_diagonal(s, 0)
+        covers = []
+        for r0 in range(0, len(self), _HASSE_ROWS):
+            block = s[r0:r0 + _HASSE_ROWS]
+            rows, cols = np.nonzero((block > 0) & ((block @ s) == 0))
+            covers.extend((self.nodes[r0 + i], self.nodes[j])
+                          for i, j in zip(rows.tolist(), cols.tolist()))
+        return covers
 
     def lower_ideal(self, predicate) -> list[Isoclass]:
         """Nodes satisfying a predicate; errors unless downward closed."""

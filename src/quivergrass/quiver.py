@@ -9,6 +9,7 @@ is indexed densely from 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -111,18 +112,13 @@ class Quiver:
         return not self.arrows_in(v)
 
     def reversed_at(self, v: int) -> "Quiver":
-        """The quiver with every arrow incident to vertex ``v`` (external name) reversed."""
-        vi = self.index(v)
-        new = []
-        for s, t in self.arrows:
-            if vi in (s, t):
-                new.append((self.name(t), self.name(s)))
-            else:
-                new.append((self.name(s), self.name(t)))
-        return Quiver(self.vertex_names, new)
+        """The quiver with every arrow incident to vertex ``v`` (external name)
+        reversed; one shared object per (quiver, v)."""
+        return _reversed_at(self, v)
 
     def opposite(self) -> "Quiver":
-        return Quiver(self.vertex_names, [(self.name(t), self.name(s)) for s, t in self.arrows])
+        """The quiver with every arrow reversed; one shared object per quiver."""
+        return _opposite(self)
 
     def check_dimvector(self, d: Sequence[int]) -> tuple[int, ...]:
         d = tuple(int(x) for x in d)
@@ -202,6 +198,24 @@ class Quiver:
             order.append(nxt)
             prev, cur = cur, nxt
         return order
+
+
+# The reflected quivers of catalog builds and BGP reflections: a tree has at
+# most 2^(n-1) orientations, so these caches stay small.
+@lru_cache(maxsize=None)
+def _reversed_at(q: Quiver, v: int) -> Quiver:
+    vi = q.index(v)
+    new = []
+    for s, t in q.arrows:
+        if vi in (s, t):
+            s, t = t, s
+        new.append((q.name(s), q.name(t)))
+    return Quiver(q.vertex_names, new)
+
+
+@lru_cache(maxsize=None)
+def _opposite(q: Quiver) -> Quiver:
+    return Quiver(q.vertex_names, [(q.name(t), q.name(s)) for s, t in q.arrows])
 
 
 def classify_tree(q: Quiver) -> str:

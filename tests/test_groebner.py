@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import operator
+import re
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from quivergrass.groebner import (
 from quivergrass.linalg import PrimeField
 from quivergrass.lab import PrincipalConfig
 from quivergrass.pluecker import PlueckerRing, ideal
-from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
+from quivergrass.quiver import Quiver, QuiverError, linear_quiver, zigzag_quiver
 from quivergrass.reps import Representation
 
 
@@ -260,6 +261,21 @@ def test_hilbert_component_budget_checked_before_any_table():
     with pytest.raises(GroebnerError):
         hilbert_component(ring, basis, (2, 2), budget=17)
     assert groebner._lead_tables.cache_info().misses == misses
+
+
+def test_hilbert_table_validates_its_degree_list_before_any_table():
+    # C(3 + 2000 - 1, 2000) * 2 = 4,006,002 candidates exceed the budget
+    ring = layout_ring([3, 2])
+    misses = groebner._lead_tables.cache_info().misses
+    with pytest.raises(GroebnerError, match=re.escape("multidegree [2000, 1] exceed")):
+        hilbert_table(ring, [], 107, [(1, 1), (2000, 1), (3000, 1)])
+    with pytest.raises(QuiverError, match="length 3"):
+        hilbert_table(ring, [], 107, [(1, 1), (1, 1, 1)])
+    with pytest.raises(QuiverError, match="negative"):
+        hilbert_table(ring, [], 107, [(1, 1), (2, -1)])
+    assert groebner._lead_tables.cache_info().misses == misses
+    assert hilbert_table(ring, [], 107, [(2, 1), (1, 0)]) == [
+        {"m": [2, 1], "dim": 12}, {"m": [1, 0], "dim": 3}]
 
 
 def test_groebner_memos_emptied_by_the_benchmark_cache_rule():

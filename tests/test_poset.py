@@ -1,10 +1,13 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quivergrass import poset as poset_module
 from quivergrass.catalog import Isoclass, get_catalog
 from quivergrass.poset import (
     IsoclassPoset,
@@ -68,6 +71,15 @@ def test_budget_enforced():
     cat = get_catalog(linear_quiver(3, ">>"))
     with pytest.raises(PosetError):
         enumerate_isoclasses(cat, (6, 6, 6), budget=10)
+
+
+@pytest.mark.parametrize("d", [(3, 4, 3), (0, 0, 0)])
+def test_budget_raises_at_the_isoclass_past_it(d):
+    cat = get_catalog(zigzag_quiver(3))
+    nodes = enumerate_isoclasses(cat, d)
+    assert enumerate_isoclasses(cat, d, budget=len(nodes)) == nodes
+    with pytest.raises(PosetError, match=re.escape(f"d={d}")):
+        enumerate_isoclasses(cat, d, budget=len(nodes) - 1)
 
 
 def test_order_axioms_small():
@@ -263,3 +275,77 @@ def test_queries_equal_the_reference_loops(request, source):
         outcomes.append(outcome)
     if len(nodes) > 2:
         assert "rejected" in outcomes  # a random subset that is not downward closed
+
+
+# -- the pruned enumeration and column-wise order against the code they replaced
+
+def reference_enumerate(cat, d):
+    """The unpruned knapsack: it recurses into every remainder down to the
+    last label, whether or not any isoclass completes it."""
+    labels = cat.labels
+    out = []
+
+    def rec(idx, remaining, picked):
+        if not any(remaining):
+            out.append(Isoclass(dict(picked)))
+            return
+        if idx == len(labels):
+            return
+        lab = labels[idx]
+        max_mult = min((rem // x for rem, x in zip(remaining, lab.dims) if x), default=0)
+        for mult in range(max_mult, -1, -1):
+            rem2 = tuple(r - mult * x for r, x in zip(remaining, lab.dims))
+            rec(idx + 1, rem2, picked + [(lab, mult)] if mult else picked)
+
+    rec(0, tuple(d), [])
+    return out
+
+
+def reference_leq(poset):
+    """The order matrix filled one row at a time."""
+    fps = poset.multiplicities @ poset.catalog.hom_matrix()
+    leq = np.zeros((len(poset), len(poset)), dtype=bool)
+    for i in range(len(poset)):
+        leq[i] = (fps[i][None, :] <= fps).all(axis=1)
+    return leq
+
+
+ENUMERATION_QUIVERS = [
+    zigzag_quiver(3),
+    linear_quiver(4, "><<"),
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)]),
+    Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),
+    Quiver([1, 2, 3, 4], [(2, 1), (2, 3), (2, 4)]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ENUMERATION_QUIVERS), st.data())
+def test_enumeration_equals_the_unpruned_knapsack(quiver, data):
+    d = tuple(data.draw(st.lists(st.integers(0, 3), min_size=quiver.n, max_size=quiver.n)))
+    cat = get_catalog(quiver)
+    assert enumerate_isoclasses(cat, d) == reference_enumerate(cat, d)
+
+
+@pytest.mark.parametrize("name", ["zigzag3_cfg", "eq_a3_cfg", "p1xp1_cfg", "a4_cfg"])
+def test_leq_equals_pairwise_degeneration(request, name):
+    poset = request.getfixturevalue(name).poset
+    cat = poset.catalog
+    assert poset.nodes == reference_enumerate(cat, poset.d)
+    pairwise = [[degenerates_to(cat, m, n) for n in poset.nodes] for m in poset.nodes]
+    assert np.array_equal(poset.leq, np.array(pairwise, dtype=bool))
+
+
+def test_leq_equals_the_row_loop_on_d4(d4_center_cfg):
+    poset = d4_center_cfg.poset
+    assert len(poset) == 424
+    assert poset.nodes == reference_enumerate(poset.catalog, poset.d)
+    assert np.array_equal(poset.leq, reference_leq(poset))
+
+
+@pytest.mark.parametrize("name", ["a4_cfg", "d4_center_cfg"])
+def test_hasse_row_blocks_keep_the_covers(request, monkeypatch, name):
+    poset = request.getfixturevalue(name).poset
+    covers = poset.hasse()
+    monkeypatch.setattr(poset_module, "_HASSE_ROWS", 7)
+    assert poset.hasse() == covers == reference_hasse(poset)
