@@ -1,12 +1,9 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivergrass.catalog import Catalog, CatalogError, Isoclass, get_catalog, positive_roots
 from quivergrass.linalg import PrimeField
-from quivergrass.poset import build_poset
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass import reps
 
@@ -142,28 +139,3 @@ def test_fold_positions_reject_an_order_with_ext():
     with pytest.raises(CatalogError, match="Ext"):
         cat.fold_positions()
 
-
-def test_set_up_memos_emptied_by_the_benchmark_cache_rule():
-    # perfbench/run.py:clear_caches calls cache_clear on every module-level
-    # callable of quivergrass that has one; a plan or quiver kept anywhere
-    # else would leave a "cold" catalog and poset build warm
-    cat = Catalog(zigzag_quiver(3), PrimeField(5))
-    assert get_catalog(zigzag_quiver(3), 5).labels == cat.labels
-    build_poset(cat, (2, 3, 2)).hasse()
-    memos = {"quivergrass.catalog": {"_cached_catalog", "_reflection_plan"},
-             "quivergrass.quiver": {"_reversed_at", "_opposite"},
-             "quivergrass.poset": set()}
-    for module_name, expected in memos.items():
-        module = sys.modules[module_name]
-        cleared = []
-        for name, obj in vars(module).items():
-            if callable(getattr(obj, "cache_clear", None)):
-                assert obj.cache_info().currsize or name not in expected, name
-                obj.cache_clear()
-                cleared.append(name)
-        assert expected == set(cleared)
-        for name in cleared:
-            assert getattr(module, name).cache_info().currsize == 0, name
-        held = [name for name, obj in vars(module).items()
-                if not name.startswith("__") and isinstance(obj, (dict, list, set, tuple)) and obj]
-        assert held == []

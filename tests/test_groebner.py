@@ -281,7 +281,9 @@ def test_hilbert_table_validates_its_degree_list_before_any_table():
 def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     # perfbench/run.py:clear_caches calls cache_clear on every module-level
     # callable of quivergrass that has one, so each memo must be such a
-    # cache; the point counts keep their tables under the same rule
+    # cache; the point counts, the catalogs' reflection plans and the
+    # reflected quivers keep their tables under the same rule, or a "cold"
+    # set-up would run warm
     ring = layout_ring([3, 2])
     hilbert_table(ring, [], 107, [(1, 1), (2, 1)])
     hilbert_component(ring, monomial_basis([(1, 0, 0, 1, 0)]), (2, 2))
@@ -293,7 +295,10 @@ def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     memos = {"quivergrass.groebner": {"_lead_tables", "_monomials"},
              "quivergrass.pointcount": {"_cached_enum", "_gauss_table", "_cheapest_root",
                                         "_summand_point_ranks", "_indecomposable_poly",
-                                        "_summand_terms", "_box", "_power_table"}}
+                                        "_summand_terms", "_box", "_power_table"},
+             "quivergrass.catalog": {"_cached_catalog", "_reflection_plan"},
+             "quivergrass.quiver": {"_reversed_at", "_opposite"},
+             "quivergrass.poset": set()}
     for module_name, expected in memos.items():
         module = sys.modules[module_name]
         cleared = []
