@@ -12,7 +12,6 @@ from any module through Hom-dimension fingerprints.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -239,19 +238,8 @@ class Catalog:
 
     def label_by_name(self, name: str) -> IndecLabel:
         for lab in self.labels:
-            if lab.name == name:
+            if lab.name == name.strip():
                 return lab
-        # U(i,j) names: also resolve through the path order
-        m = re.fullmatch(r"U\((\d+),(\d+)\)", name.strip())
-        if m and self.quiver.dynkin == "A":
-            i, j = int(m.group(1)), int(m.group(2))
-            if not 1 <= i <= j <= self.quiver.n:
-                raise CatalogError(f"interval out of range: {name!r}")
-            order = self.quiver.path_order()
-            dims = [0] * self.quiver.n
-            for pos in range(i - 1, j):
-                dims[order[pos]] = 1
-            return self.label_by_dims(dims)
         raise CatalogError(f"unknown indecomposable {name!r}")
 
     def simple_label(self, vertex: int) -> IndecLabel:

@@ -117,15 +117,18 @@ def enumerate_subspaces(e: int, d: int, field: PrimeField, *,
 
 
 def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.ndarray:
-    """dim(U + rowspace(w)) for every subspace U in the enumeration.
+    """dim(U + rowspace(w[j])) for every j of a (K, k, d) stack ``w`` with
+    entries reduced mod p and every subspace U in the enumeration: a (K, N)
+    array.
 
-    Exploits the rref structure: reducing the fixed rows ``w`` by the pivot
-    rows of each basis costs one small matrix product per block, and the
-    leftover rank is computed on the non-pivot columns only.
+    Exploits the rref structure: reducing the fixed rows ``w[j]`` by the
+    pivot rows of each basis costs one small matrix product per block, and
+    the leftover rank is computed on the non-pivot columns only, at most
+    ``_CHUNK`` matrices at a time.
     """
-    k, d = w.shape
+    stack, k, d = w.shape
     e = en.e
-    out = np.empty(en.size, dtype=np.int64)
+    out = np.empty((stack, en.size), dtype=np.int64)
     if k == 0 or e == d:
         out[:] = e
         return out
@@ -133,18 +136,23 @@ def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.n
     w = w.astype(dtype)
     for start, stop, pivots in en.blocks:
         nonpiv = [c for c in range(d) if c not in pivots]
-        w_piv = w[:, pivots]
-        w_rest = w[:, nonpiv]
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
+        w_piv = w[:, :, pivots]
+        w_rest = w[:, :, nonpiv]
+        n_step = min(_CHUNK, stop - start)
+        k_step = _CHUNK // n_step
+        for lo in range(start, stop, n_step):
+            hi = min(lo + n_step, stop)
             # the pivot columns of an rref basis form the identity, so only
             # the non-pivot columns of the reduced rows can be nonzero
             b = en.bases[lo:hi, :, :][:, :, nonpiv].astype(dtype)
-            rest = w_rest[None, :, :] - np.einsum("ke,nef->nkf", w_piv, b)
-            if rest.shape[2] == 1:
-                out[lo:hi] = e + (f.reduce(rest[:, :, 0]) != 0).any(axis=1)
-            else:
-                out[lo:hi] = e + f.batched_rank(rest)  # reduces its input
+            for j in range(0, stack, k_step):
+                js = slice(j, j + k_step)
+                rest = w_rest[js, None] - np.einsum("jke,nef->jnkf", w_piv[js], b)
+                if rest.shape[3] == 1:
+                    out[js, lo:hi] = e + (f.reduce(rest[..., 0]) != 0).any(axis=2)
+                else:
+                    ranks = f.batched_rank(rest.reshape(-1, k, d - e))  # reduces its input
+                    out[js, lo:hi] = e + ranks.reshape(rest.shape[:2])
     return out
 
 
@@ -249,7 +257,7 @@ def count_points(m: Representation, e, p: int, *,
         ev = enum(v)
         if q.source(a) == child:  # arrow child -> v, map A: M_child -> M_v
             # dim of the preimage of U under A, then count subspaces inside
-            dim_sum = _sum_dims_with_fixed(ev, m.maps[a].T, f)
+            dim_sum = _sum_dims_with_fixed(ev, m.maps[a].T[None], f)[0]
             return _Coded(m.dims[child] - dim_sum + e[v], leaf_values(child, v))
         # arrow v -> child, map B: M_v -> M_c: count U_c containing B(U_v)
         B = m.maps[a]
@@ -276,7 +284,10 @@ def count_points(m: Representation, e, p: int, *,
         return g(0), g(1)
 
     def pair_message(child: int, v: int, w_child: np.ndarray) -> np.ndarray:
-        """Fallback: explicit containment sum for a weighted child."""
+        """Message of a weighted ``child`` into v: per U_v, the sum of
+        ``w_child`` over the compatible U_child.  The subspaces on the
+        arrow's source side are pushed through its map a slice at a time,
+        and one kernel call tests each slice against the target side."""
         a = q.edge_arrow[child, v]
         ec, ev = enum(child), enum(v)
         if ec.size * ev.size > pair_budget:
@@ -284,25 +295,18 @@ def count_points(m: Representation, e, p: int, *,
                 f"pair budget exceeded at edge {q.name(child)}-{q.name(v)}: "
                 f"{ec.size} x {ev.size}"
             )
-        out = np.zeros(ev.size, dtype=object)
-        bc = ec.bases.astype(np.int64)
         into_v = q.source(a) == child
-        if into_v:
-            img_c = bc @ m.maps[a].T  # (Nc, e_c, d_v), the same for every chunk
-        step = max(1, _CHUNK // max(1, ec.size))
-        for lo in range(0, ev.size, step):
-            hi = min(lo + step, ev.size)
-            bv = ev.bases[lo:hi].astype(np.int64)
+        src, tgt = (ec, ev) if into_v else (ev, ec)
+        out = np.zeros(ev.size, dtype=object)
+        step = max(1, _CHUNK // tgt.size)
+        for lo in range(0, src.size, step):
+            img = f.reduce(src.bases[lo:lo + step].astype(np.int64) @ m.maps[a].T)
+            # inside[j, x]: the image of source subspace lo + j lies in target x
+            inside = _sum_dims_with_fixed(tgt, img, f) == tgt.e
             if into_v:
-                comp = _containment(f, img_c, bv, e[v])
+                out += w_child[lo:lo + step] @ inside
             else:
-                img = bv @ m.maps[a].T  # (chunk, e_v, d_child)
-                comp = _containment(f, img, bc, e[child]).T
-            # comp[x, y]: U_c[y] compatible with U_v[lo + x]
-            for x in range(hi - lo):
-                out[lo + x] = sum(
-                    int(wv) for wv, okv in zip(w_child, comp[x]) if okv
-                )
+                out[lo:lo + step] = inside @ w_child
         return out
 
     def subtree(v: int, parent: int):
@@ -392,23 +396,6 @@ def _point_root_sum(p: int, d: int, gs: list[tuple[int, int]], ranks: list[int])
             weight *= g1 - g0 if bit else g0
         total += weight * ((p ** (d - rank) - 1) // (p - 1))
     return total
-
-
-def _containment(f: PrimeField, vecs: np.ndarray, spaces: np.ndarray, e_space: int) -> np.ndarray:
-    """contained[x, y]: rows of vecs[y] all lie in the span of spaces[x].
-
-    vecs: (Ny, r, d); spaces: (Nx, e, d), integer entries that
-    ``batched_rank`` reduces mod p.  Returns (Nx, Ny) bool.
-    """
-    nx = spaces.shape[0]
-    ny, r, d = vecs.shape
-    out = np.zeros((nx, ny), dtype=bool)
-    for x in range(nx):
-        stacked = np.concatenate(
-            [np.broadcast_to(spaces[x][None, :, :], (ny, e_space, d)), vecs], axis=1
-        )
-        out[x] = f.batched_rank(stacked) == e_space
-    return out
 
 
 def _choose_root(q: Quiver, d, e, p: int) -> int:

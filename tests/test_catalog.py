@@ -110,6 +110,10 @@ def test_isoclass_addition_and_dims():
     iso = Isoclass({u: 1}) + Isoclass({s1: 2})
     assert iso.counts[s1] == 2
     assert iso.dims(2) == (3, 1)
+    assert cat.label_by_name(" U(1,2) ") == u
+    for bad in ("U(2,3)", "U(0,1)", "U(1,)", "V(1,1)"):  # out of range or malformed
+        with pytest.raises(CatalogError, match="unknown indecomposable"):
+            cat.label_by_name(bad)
 
 
 @pytest.mark.parametrize("quiver", [

@@ -299,3 +299,16 @@ def test_empty_and_inconsistent_nodes_stay_out_of_the_loci(monkeypatch):
     record = next(n for n in json.loads(report_json(report))["nodes"]
                   if n["isoclass"] == str(empty))
     assert (record["dim"], record["top_components"], record["poly"]) == (-1, 0, [])
+
+
+def test_budget_failures_become_gaps_outside_the_loci():
+    # every eq-A3 node's DP check enumerates Gr(2, 4) at p = 3: 130 subspaces
+    cfg = PrincipalConfig(linear_quiver(3, ">>"), (1, 1, 1), (1, 1, 1), enum_budget=100)
+    report = lab.classify_all(cfg)  # no LabError or PosetError
+    assert report.gaps == [
+        f"{iso}: enumeration budget exceeded: 130 subspaces of Gr(2,4) at p=3"
+        for iso in cfg.poset.nodes
+    ]
+    for iso in cfg.poset.nodes:
+        assert iso not in report.classifications
+        assert iso not in report.gamma1 and iso not in report.gamma2

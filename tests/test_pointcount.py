@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivergrass.catalog import Isoclass, get_catalog
 from quivergrass.lab import PrincipalConfig
 from quivergrass.linalg import PrimeField, gaussian_binomial
+from quivergrass import pointcount
 from quivergrass.pointcount import (
     CountError,
     CountingPolynomial,
@@ -17,6 +18,7 @@ from quivergrass.pointcount import (
     _indecomposable_chi,
     _product,
     _schedule,
+    _sum_dims_with_fixed,
     brute_force_count,
     classify,
     count_points,
@@ -78,6 +80,8 @@ def test_identity_map_counts_containment():
     Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),  # D4 subspace orientation
     Quiver([1, 2, 3, 4], [(2, 1), (2, 3), (2, 4)]),  # D4 out of the center
     Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)]),  # A4: pair messages off the root
+    linear_quiver(4),  # weighted children on both sides of an arrow
+    linear_quiver(4, "<<>"),
 ])
 @given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3, 5]))
 @settings(max_examples=25, deadline=None)
@@ -99,6 +103,49 @@ def test_dp_equals_brute_force(quiver, seed, p):
     m = cat.realize(iso)
     e = tuple(int(rng.integers(0, dv + 1)) for dv in m.dims)
     assert count_points(m, e, p) == brute_force_count(m, e, p)
+
+
+@given(p=st.sampled_from([2, 3, 5]), d=st.integers(0, 4), e=st.integers(0, 4),
+       k=st.integers(0, 3), stack=st.integers(1, 4), seed=st.integers(0, 10 ** 6))
+@example(p=2, d=3, e=1, k=0, stack=2, seed=0)
+@example(p=3, d=3, e=0, k=2, stack=4, seed=1)
+@example(p=5, d=2, e=2, k=3, stack=3, seed=2)
+@example(p=3, d=4, e=2, k=3, stack=4, seed=3)
+@settings(max_examples=40, deadline=None)
+def test_sum_dims_kernel_equals_stacked_rank(p, d, e, k, stack, seed):
+    # with a chunk of 3 the slices cross chunk boundaries on both axes
+    e = min(e, d)
+    f = PrimeField(p)
+    w = np.random.default_rng(seed).integers(0, p, size=(stack, k, d))
+    en = enumerate_subspaces(e, d, f)
+    sizes = []
+    real = PrimeField.batched_rank
+
+    def recording(self, mats):
+        sizes.append(len(mats))
+        return real(self, mats)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointcount, "_CHUNK", 3)
+        mp.setattr(PrimeField, "batched_rank", recording)
+        got = _sum_dims_with_fixed(en, w, f)
+    assert got.shape == (stack, en.size)
+    assert max(sizes, default=0) <= 3
+    for j in range(stack):
+        for x in range(en.size):
+            assert got[j, x] == f.rank(np.concatenate([en.bases[x].astype(np.int64), w[j]]))
+
+
+def test_pair_budget_names_the_edge_and_both_sizes():
+    # 1 -> 2 <- 3 <- 4, d = (3, 5, 4, 4), e = (1, 4, 2, 1): the root is 2 and
+    # the weighted child 3 sends a pair message over Gr(2, 4) x Gr(4, 5)
+    cfg = PrincipalConfig(Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)]),
+                          (1, 1, 1, 1), (1, 1, 1, 1))
+    m = cfg.catalog_at(2).realize(cfg.generic())
+    n3, n2 = gaussian_binomial(4, 2, 2), gaussian_binomial(5, 4, 2)
+    with pytest.raises(CountError, match=f"pair budget exceeded at edge 3-2: {n3} x {n2}"):
+        count_points(m, cfg.e, 2, pair_budget=1)
+    assert count_points(m, cfg.e, 2, pair_budget=n3 * n2) == count_points(m, cfg.e, 2)
 
 
 def test_count_rejects_bad_subdimension():
