@@ -25,6 +25,7 @@ from collections import Counter
 
 from .linalg import PrimeField
 from .pluecker import MPoly, PlueckerRing
+from .quiver import Quiver
 
 
 class GroebnerError(ValueError):
@@ -293,7 +294,8 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     Counts multidegree-m monomials outside the leading-term ideal; needs a
     basis truncated at total degree >= sum(m).  ``budget`` caps the candidate
     count prod_i C(k_i + m_i - 1, m_i) (k_i variables in block i) before any
-    work.  The count is read from ``_lead_tables``, keyed by the block layout
+    work; that check is kept per (quiver, block layout, m, budget).  The
+    count is read from ``_lead_tables``, keyed by the block layout
     and the leads and cached for the last two keys.  Per (basis, block i,
     degree d) it builds the block masks once: n_{i,d} * k_i ORs over the
     n_{i,d} degree-d monomials, leads inside block i striking monomials
@@ -302,19 +304,27 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     A call then costs one pass over the states of m[:-1] times the distinct
     masks of the last block.
     """
-    m = ring.quiver.check_dimvector(m)
-    _check_budget(ring, m, budget)
+    m = _checked(ring.quiver, ring.block, tuple(m), budget)
     # a list-built key: tuple() of a generator over-allocates and resizes
-    return _lead_tables(tuple(ring.block), tuple([g.lead for g in basis])).count(m)
+    return _lead_tables(ring.block, tuple([g.lead for g in basis])).count(m)
 
 
-def _candidates(ring: PlueckerRing, m: tuple) -> int:
+@functools.lru_cache(maxsize=1024)
+def _checked(quiver: Quiver, blocks: tuple, m: tuple, budget: int) -> tuple:
+    """m as a checked dimension vector within the budget; an error is not
+    cached, so it is raised again on every call."""
+    m = quiver.check_dimvector(m)
+    _check_budget(blocks, m, budget)
+    return m
+
+
+def _candidates(blocks: tuple, m: tuple) -> int:
     """prod_i C(k_i + m_i - 1, m_i): the multidegree-m monomials."""
-    return math.prod(math.comb(hi - lo + deg - 1, deg) for (lo, hi), deg in zip(ring.block, m))
+    return math.prod(math.comb(hi - lo + deg - 1, deg) for (lo, hi), deg in zip(blocks, m))
 
 
-def _check_budget(ring: PlueckerRing, m: tuple, budget: int) -> None:
-    total = _candidates(ring, m)
+def _check_budget(blocks: tuple, m: tuple, budget: int) -> None:
+    total = _candidates(blocks, m)
     if total > budget:
         raise GroebnerError(
             f"{total} candidate monomials of multidegree {list(m)} "
@@ -452,12 +462,12 @@ def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees) -> lis
             q.check_dimvector(m)
     if degrees:
         q.check_dimvector(map(min, zip(*degrees)))
-        if _candidates(ring, tuple(map(max, zip(*degrees)))) > HILBERT_BUDGET:
+        if _candidates(ring.block, tuple(map(max, zip(*degrees)))) > HILBERT_BUDGET:
             for m in degrees:
-                _check_budget(ring, m, HILBERT_BUDGET)
+                _check_budget(ring.block, m, HILBERT_BUDGET)
     max_total = max((sum(m) for m in degrees), default=0)
     basis = groebner_basis(ring, gens, p, max_degree=max_total)
-    tables = _lead_tables(tuple(ring.block), tuple([g.lead for g in basis]))
+    tables = _lead_tables(ring.block, tuple([g.lead for g in basis]))
     return [{"m": list(m), "dim": tables.count(m)} for m in degrees]
 
 

@@ -5,10 +5,14 @@ of the subspace U_i (columns J of size e_i, colex order).  The ideal is
 generated by the classical Grassmannian exchange relations at each vertex
 together with one bilinear family per arrow (or per path) coupling the
 coordinates at its endpoints through the matrix of the representation map.
+The ring, the exchange quadrics and the monomials and signs of every bilinear
+family depend only on (quiver, d, e) and are built once per triple; a call of
+``ideal`` reads only the coefficients from the representation's matrices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -53,21 +57,23 @@ class PlueckerRing:
         for i in range(quiver.n):
             if self.e[i] > self.d[i]:
                 raise PlueckerError(f"e exceeds d at vertex {quiver.name(i)}")
-        self.variables: list[PlueckerVariable] = []
-        self.vertex_of: list[int] = []  # internal vertex index per variable
+        variables, vertex_of, block = [], [], []
         self._index: dict[tuple, int] = {}  # (internal vertex, sorted cols)
-        self.block: list[tuple[int, int]] = []  # [start, stop) per vertex
         for i in range(quiver.n):
-            start = len(self.variables)
+            start = len(variables)
             subsets = sorted(
                 itertools.combinations(range(1, self.d[i] + 1), self.e[i]),
                 key=_colex_key,
             )
             for cols in subsets:
-                self._index[i, cols] = len(self.variables)
-                self.variables.append(PlueckerVariable(quiver.name(i), cols))
-                self.vertex_of.append(i)
-            self.block.append((start, len(self.variables)))
+                self._index[i, cols] = len(variables)
+                variables.append(PlueckerVariable(quiver.name(i), cols))
+                vertex_of.append(i)
+            block.append((start, len(variables)))
+        # tuples: one ring serves every ideal of its (quiver, d, e)
+        self.variables: tuple[PlueckerVariable, ...] = tuple(variables)
+        self.vertex_of = tuple(vertex_of)  # internal vertex index per variable
+        self.block = tuple(block)  # [start, stop) per vertex
 
     def __len__(self):
         return len(self.variables)
@@ -174,18 +180,20 @@ def grassmann_relations(ring: PlueckerRing, vertex: int) -> list[MPoly]:
     return out
 
 
-def _bilinear_family(ring: PlueckerRing, s: int, t: int, mat: np.ndarray) -> list[MPoly]:
-    """The relations R(pi, I, J) of one map ``mat``: vertex s -> vertex t.
+def _bilinear_terms(ring: PlueckerRing, s: int, t: int) -> tuple:
+    """The relations R(pi, I, J) of a map pi: vertex s -> vertex t, without
+    their coefficients: per (I, J) the (monomial, sign, flat index into pi)
+    of each term.
 
     I runs over (e_s - 1)-subsets at s, J over (e_t + 1)-subsets at t; each
     relation is sum over p not in I, q in J of
-    (-1)^(eps(p,I) + eps(q,J)) * mat[q,p] * D[s][I+p] * D[t][J-q].
+    (-1)^(eps(p,I) + eps(q,J)) * pi[q,p] * D[s][I+p] * D[t][J-q],
+    p the outer index.  Since s != t every term has its own monomial.
     """
     es, et = ring.e[s], ring.e[t]
     ds, dt = ring.d[s], ring.d[t]
-    out = []
     if es == 0 or et >= dt:
-        return out
+        return ()
     # (variable, sign, column) of D[s][I+p] per I and of D[t][J-q] per J
     rows = [[(ring.index(s, i_set + (p_col,)),
               (-1) ** sum(1 for x in i_set if x <= p_col), p_col - 1)
@@ -194,41 +202,38 @@ def _bilinear_family(ring: PlueckerRing, s: int, t: int, mat: np.ndarray) -> lis
     cols = [[(ring.index(t, tuple(x for x in j_set if x != q_col)),
               (-1) ** sum(1 for x in j_set if x <= q_col), q_col - 1) for q_col in j_set]
             for j_set in itertools.combinations(range(1, dt + 1), et + 1)]
-    entries = mat.tolist()
-    for row in rows:
-        for col in cols:
-            coeffs: dict = {}
-            for v1, sign_p, pc in row:
-                for v2, sign_q, qc in col:
-                    coeff = entries[qc][pc]
-                    if coeff == 0:
-                        continue
-                    mono = (v1, v2) if v1 <= v2 else (v2, v1)
-                    coeffs[mono] = coeffs.get(mono, 0) + sign_p * sign_q * coeff
-            poly = MPoly(ring, coeffs)
-            if poly:
-                out.append(poly)
-    return out
+    return tuple(tuple(((v1, v2) if v1 <= v2 else (v2, v1), sign_p * sign_q, qc * ds + pc)
+                       for v1, sign_p, pc in row for v2, sign_q, qc in col)
+                 for row in rows for col in cols)
 
 
-def arrow_relations(ring: PlueckerRing, m: Representation) -> list[MPoly]:
-    """One bilinear family per arrow, coefficients lifted to signed integers."""
-    f = m.field
+def _with_coefficients(ring: PlueckerRing, terms: tuple, mat: np.ndarray) -> list[MPoly]:
+    """The nonzero relations of ``_bilinear_terms`` for pi = ``mat``, a
+    signed integer matrix."""
+    entries = mat.ravel().tolist()
     out = []
-    for a, (s, t) in enumerate(m.quiver.arrows):
-        mat = f.lift_signed(m.maps[a])
-        out.extend(_bilinear_family(ring, s, t, mat))
+    for relation in terms:
+        coeffs = {mono: sign * entries[k] for mono, sign, k in relation if entries[k]}
+        if coeffs:
+            out.append(MPoly(ring, coeffs))
     return out
 
 
-def path_relations(ring: PlueckerRing, m: Representation) -> list[MPoly]:
-    """One bilinear family per directed path (arrows included as length 1)."""
-    f = m.field
-    out = []
-    for path in m.quiver.paths():
-        mat = f.lift_signed(m.path_matrix(path))
-        out.extend(_bilinear_family(ring, path.source, path.target, mat))
-    return out
+@functools.lru_cache(maxsize=64)
+def _ring(quiver: Quiver, d: tuple, e: tuple) -> PlueckerRing:
+    return PlueckerRing(quiver, d, e)
+
+
+@functools.lru_cache(maxsize=64)
+def _quadrics(quiver: Quiver, d: tuple, e: tuple) -> tuple[MPoly, ...]:
+    """The exchange quadrics of every vertex, in vertex order."""
+    ring = _ring(quiver, d, e)
+    return tuple(g for v in range(quiver.n) for g in grassmann_relations(ring, v))
+
+
+@functools.lru_cache(maxsize=256)
+def _terms(quiver: Quiver, d: tuple, e: tuple, s: int, t: int) -> tuple:
+    return _bilinear_terms(_ring(quiver, d, e), s, t)
 
 
 def ideal(m: Representation, e, *, scope: str = "arrows") -> tuple[PlueckerRing, list[MPoly]]:
@@ -236,18 +241,21 @@ def ideal(m: Representation, e, *, scope: str = "arrows") -> tuple[PlueckerRing,
 
     ``scope`` chooses the bilinear families: "arrows" or "paths".  The
     Grassmannian exchange relations at every vertex are always included.
-    Generators that agree up to a scalar mod p are deduplicated.
+    Generators that agree up to a scalar mod p are deduplicated.  The ring
+    and the exchange quadrics are shared by every call with the same
+    (quiver, d, e) and must not be modified.
     """
-    ring = PlueckerRing(m.quiver, m.dims, e)
-    gens: list[MPoly] = []
-    for v in range(m.quiver.n):
-        gens.extend(grassmann_relations(ring, v))
+    q, d, e = m.quiver, m.dims, tuple(e)
+    ring = _ring(q, d, e)
     if scope == "arrows":
-        gens.extend(arrow_relations(ring, m))
+        maps = [(s, t, m.maps[a]) for a, (s, t) in enumerate(q.arrows)]
     elif scope == "paths":
-        gens.extend(path_relations(ring, m))
+        maps = [(path.source, path.target, m.path_matrix(path)) for path in q.paths()]
     else:
         raise PlueckerError(f"unknown scope {scope!r}")
+    gens = list(_quadrics(q, d, e))
+    for s, t, mat in maps:
+        gens.extend(_with_coefficients(ring, _terms(q, d, e, s, t), m.field.lift_signed(mat)))
     seen = set()
     unique = []
     for g in gens:

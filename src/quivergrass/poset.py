@@ -24,7 +24,7 @@ class PosetError(ValueError):
 
 
 DEFAULT_NODE_BUDGET = 20000
-_HASSE_ROWS = 512  # rows of the strict order per product in ``hasse``
+_HASSE_ROWS = 1024  # rows and columns of the strict order per product in ``hasse``
 
 
 def enumerate_isoclasses(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) -> list[Isoclass]:
@@ -199,17 +199,28 @@ class IsoclassPoset:
 
         i < j is a cover unless some k has i < k < j.  The two-step counts
         come from float32 (BLAS) products of ``_HASSE_ROWS`` rows of the
-        strict order at a time with the whole of it, exact below 2^24 nodes,
-        so no n x n product is held."""
-        s = self.leq.astype(np.float32)
-        np.fill_diagonal(s, 0)
+        strict order with ``_HASSE_ROWS`` of its columns, exact below 2^24
+        nodes.  The rows are converted from ``leq`` once per block and the
+        columns once per product, so no n x n float array is held."""
+        n, step = len(self), _HASSE_ROWS
         covers = []
-        for r0 in range(0, len(self), _HASSE_ROWS):
-            block = s[r0:r0 + _HASSE_ROWS]
-            rows, cols = np.nonzero((block > 0) & ((block @ s) == 0))
-            covers.extend((self.nodes[r0 + i], self.nodes[j])
-                          for i, j in zip(rows.tolist(), cols.tolist()))
+        for r0 in range(0, n, step):
+            rows = self._strict(r0, min(r0 + step, n), 0, n)
+            no_detour = np.empty(rows.shape, dtype=bool)
+            for c0 in range(0, n, step):
+                c1 = min(c0 + step, n)
+                np.equal(rows @ self._strict(0, n, c0, c1), 0, out=no_detour[:, c0:c1])
+            i, j = np.nonzero((rows > 0) & no_detour)
+            covers.extend((self.nodes[r0 + a], self.nodes[b])
+                          for a, b in zip(i.tolist(), j.tolist()))
         return covers
+
+    def _strict(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """The strict order's rows r0:r1 and columns c0:c1 as float32."""
+        block = self.leq[r0:r1, c0:c1].astype(np.float32)
+        k = np.arange(max(r0, c0), min(r1, c1))
+        block[k - r0, k - c0] = 0
+        return block
 
     def lower_ideal(self, predicate) -> list[Isoclass]:
         """Nodes satisfying a predicate; errors unless downward closed."""

@@ -263,6 +263,23 @@ def test_hilbert_component_budget_checked_before_any_table():
     assert groebner._lead_tables.cache_info().misses == misses
 
 
+def test_hilbert_component_errors_with_warm_memos():
+    # a pass at the default budget fills the check memo; errors are not
+    # cached, so each call raises again with the same text
+    ring = layout_ring([3, 2])
+    basis = monomial_basis([(1, 0, 0, 1, 0)])
+    value = hilbert_component(ring, basis, (2, 2))
+    texts = []
+    for _ in range(2):
+        with pytest.raises(GroebnerError) as err:
+            hilbert_component(ring, basis, (2, 2), budget=17)
+        texts.append(str(err.value))
+        with pytest.raises(QuiverError, match="length 3"):
+            hilbert_component(ring, basis, (2, 2, 1))
+    assert texts == ["18 candidate monomials of multidegree [2, 2] exceed the budget 17"] * 2
+    assert hilbert_component(ring, basis, [2, 2]) == value == brute_hilbert(ring, basis, (2, 2))
+
+
 def test_hilbert_table_validates_its_degree_list_before_any_table():
     # C(3 + 2000 - 1, 2000) * 2 = 4,006,002 candidates exceed the budget
     ring = layout_ring([3, 2])
@@ -281,9 +298,9 @@ def test_hilbert_table_validates_its_degree_list_before_any_table():
 def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     # perfbench/run.py:clear_caches calls cache_clear on every module-level
     # callable of quivergrass that has one, so each memo must be such a
-    # cache; the point counts, the catalogs' reflection plans and the
-    # reflected quivers keep their tables under the same rule, or a "cold"
-    # set-up would run warm
+    # cache; the point counts, the catalogs' reflection plans, the reflected
+    # quivers and the Pluecker rings, quadrics and relation terms keep their
+    # tables under the same rule, or a "cold" set-up would run warm
     ring = layout_ring([3, 2])
     hilbert_table(ring, [], 107, [(1, 1), (2, 1)])
     hilbert_component(ring, monomial_basis([(1, 0, 0, 1, 0)]), (2, 2))
@@ -292,7 +309,9 @@ def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     m = cfg.catalog_at(3).realize(cfg.generic())
     pointcount.classify(lambda p: cfg.catalog_at(p).realize(cfg.generic()), cfg.e)
     pointcount.count_points(m, (1, 2, 1, 1), 3)  # not a point root: enumerates
-    memos = {"quivergrass.groebner": {"_lead_tables", "_monomials"},
+    ideal(m, cfg.e, scope="paths")
+    memos = {"quivergrass.groebner": {"_lead_tables", "_monomials", "_checked"},
+             "quivergrass.pluecker": {"_ring", "_quadrics", "_terms"},
              "quivergrass.pointcount": {"_cached_enum", "_gauss_table", "_cheapest_root",
                                         "_summand_point_ranks", "_indecomposable_poly",
                                         "_summand_terms", "_box", "_power_table"},

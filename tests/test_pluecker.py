@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from quivergrass.catalog import Isoclass, get_catalog
+from quivergrass.lab import PrincipalConfig
 from quivergrass.linalg import PrimeField
 from quivergrass.pluecker import (
+    MPoly,
     PlueckerError,
     PlueckerRing,
+    _normalized,
     export_macaulay2,
     export_text,
     grassmann_relations,
@@ -148,3 +151,109 @@ def test_exports():
     m2 = export_macaulay2(ring, gens, 107)
     assert "ZZ/107" in m2 and "ideal" in m2
     assert "Degrees" in m2
+
+
+def reference_bilinear_family(ring, s, t, mat):
+    """The relations R(pi, I, J) of one signed integer matrix, summed term
+    by term: p over the columns outside I, q over J."""
+    es, et = ring.e[s], ring.e[t]
+    ds, dt = ring.d[s], ring.d[t]
+    out = []
+    if es == 0 or et >= dt:
+        return out
+    entries = mat.tolist()
+    for i_set in itertools.combinations(range(1, ds + 1), es - 1):
+        for j_set in itertools.combinations(range(1, dt + 1), et + 1):
+            coeffs = {}
+            for p_col in range(1, ds + 1):
+                if p_col in i_set:
+                    continue
+                v1 = ring.index(s, i_set + (p_col,))
+                sign_p = (-1) ** sum(1 for x in i_set if x <= p_col)
+                for q_col in j_set:
+                    coeff = entries[q_col - 1][p_col - 1]
+                    if coeff == 0:
+                        continue
+                    v2 = ring.index(t, tuple(x for x in j_set if x != q_col))
+                    sign_q = (-1) ** sum(1 for x in j_set if x <= q_col)
+                    mono = tuple(sorted((v1, v2)))
+                    coeffs[mono] = coeffs.get(mono, 0) + sign_p * sign_q * coeff
+            poly = MPoly(ring, coeffs)
+            if poly:
+                out.append(poly)
+    return out
+
+
+def reference_ideal(m, e, scope):
+    """``ideal`` from scratch: a fresh ring, no memo."""
+    q, f = m.quiver, m.field
+    ring = PlueckerRing(q, m.dims, e)
+    gens = [g for v in range(q.n) for g in grassmann_relations(ring, v)]
+    if scope == "arrows":
+        maps = [(s, t, m.maps[a]) for a, (s, t) in enumerate(q.arrows)]
+    else:
+        maps = [(path.source, path.target, m.path_matrix(path)) for path in q.paths()]
+    for s, t, mat in maps:
+        gens.extend(reference_bilinear_family(ring, s, t, f.lift_signed(mat)))
+    seen, unique = set(), []
+    for g in gens:
+        key = _normalized(g, f)
+        if key is not None and key not in seen:
+            seen.add(key)
+            unique.append(g)
+    return ring, unique
+
+
+def d4_subspace_cfg():
+    # the configuration of the benchmark's Hilbert workload
+    return PrincipalConfig(Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),
+                           (1, 0, 1, 1), (1, 1, 1, 1))
+
+
+def test_memoized_ideal_equals_a_fresh_construction(request):
+    cfgs = [request.getfixturevalue(name) for name in
+            ("zigzag3_cfg", "eq_a3_cfg", "p1xp1_cfg", "a4_cfg", "d4_center_cfg")]
+    checked = 0
+    # configurations and scopes interleave, so every memo is read warm
+    # after other (quiver, d, e) keys went in
+    for cfg in cfgs + [d4_subspace_cfg()]:
+        for iso in cfg.poset.nodes:
+            m = cfg.catalog.realize(iso)
+            for scope in ("arrows", "paths"):
+                ring, gens = ideal(m, cfg.e, scope=scope)
+                fresh, expected = reference_ideal(m, cfg.e, scope)
+                assert ring.variables == fresh.variables and ring.block == fresh.block
+                # the same generators in the same order, each term in the same order
+                assert [list(g.coeffs.items()) for g in gens] == \
+                    [list(g.coeffs.items()) for g in expected]
+                assert all(g.ring is ring for g in gens)
+                checked += 1
+    assert checked == 2 * sum(len(cfg.poset.nodes) for cfg in cfgs) + 2 * 302
+
+
+def test_memoized_ideal_follows_d_and_e_on_one_quiver():
+    q = linear_quiver(2)
+    f = PrimeField(5)
+    rng = np.random.default_rng(3)
+    for d, e in [((4, 4), (2, 2)), ((4, 4), (2, 1)), ((4, 5), (2, 2)), ((4, 4), (1, 2)),
+                 ((4, 4), (2, 2))]:
+        m = Representation(q, f, d, [rng.integers(0, 5, size=(d[1], d[0]))])
+        for scope in ("arrows", "paths"):
+            ring, gens = ideal(m, e, scope=scope)
+            fresh, expected = reference_ideal(m, e, scope)
+            assert (ring.d, ring.e, ring.variables) == (fresh.d, fresh.e, fresh.variables)
+            assert [g.coeffs for g in gens] == [g.coeffs for g in expected]
+
+
+def test_ideal_errors_with_warm_memos():
+    q = linear_quiver(2)
+    f = PrimeField(107)
+    m = Representation(q, f, (2, 2), [f.eye(2)])
+    ring, gens = ideal(m, (1, 1))
+    for _ in range(2):
+        with pytest.raises(PlueckerError, match="e exceeds d at vertex 1"):
+            ideal(m, (3, 1))
+        with pytest.raises(PlueckerError, match="unknown scope"):
+            ideal(m, (1, 1), scope="edges")
+    again, same = ideal(m, [1, 1])  # a list e finds the same memo entry
+    assert again is ring and [g.coeffs for g in same] == [g.coeffs for g in gens]
