@@ -4,13 +4,11 @@ from .quiver import Quiver, Path, parse_quiver, format_quiver, dynkin_type, line
 from .linalg import PrimeField, gaussian_binomial
 from .reps import (
     Representation,
-    Morphism,
     simple,
     projective,
     injective,
     direct_sum,
     hom_dim,
-    hom_basis,
     ext1_dim,
     end_dim,
     is_rigid,
@@ -49,13 +47,11 @@ __all__ = [
     "PrimeField",
     "gaussian_binomial",
     "Representation",
-    "Morphism",
     "simple",
     "projective",
     "injective",
     "direct_sum",
     "hom_dim",
-    "hom_basis",
     "ext1_dim",
     "end_dim",
     "is_rigid",

@@ -195,7 +195,8 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
     requires a single top-dimensional component (irreducibility proxy).
     Both are asserted to be lower ideals.  Nodes whose classification fails
     within budget are recorded in ``gaps`` and excluded from the loci, and
-    so are empty Grassmannians (dimension -1).
+    so are empty Grassmannians (dimension -1).  ``progress(k, n, iso, cls)``
+    is called after every node, with ``cls`` None for a budget gap.
     """
     poset = cfg.poset
     report = ExperimentReport(cfg)
@@ -203,11 +204,12 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
         try:
             cls = classify_node(cfg, iso)
         except (CountError, GroebnerError) as exc:
+            cls = None
             report.gaps.append(f"{iso}: {exc}")
-            continue
-        if not cls.consistent:
-            report.gaps.append(f"{iso}: {cls.reason}")
-        report.classifications[iso] = cls
+        else:
+            if not cls.consistent:
+                report.gaps.append(f"{iso}: {cls.reason}")
+            report.classifications[iso] = cls
         if progress:
             progress(k + 1, len(poset.nodes), iso, cls)
     classified = [x for x, cls in report.classifications.items()

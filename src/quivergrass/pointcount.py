@@ -237,7 +237,7 @@ def count_points(m: Representation, e, p: int, *,
     f = _field_of(m, p)
     gauss = _gauss_table(p, max(m.dims, default=0))
     adj = q.neighbors()
-    root = _choose_root(q, m.dims, e, p)
+    root = _cheapest_root(q, m.dims, e, p)
 
     def enum(v: int) -> SubspaceEnum:
         return enumerate_subspaces(e[v], m.dims[v], f, budget=enum_budget)
@@ -398,13 +398,9 @@ def _point_root_sum(p: int, d: int, gs: list[tuple[int, int]], ranks: list[int])
     return total
 
 
-def _choose_root(q: Quiver, d, e, p: int) -> int:
-    """Root minimizing the estimated DP cost (pair messages dominate)."""
-    return _cheapest_root(q, tuple(d), tuple(e), p)
-
-
 @functools.lru_cache(maxsize=256)
 def _cheapest_root(q: Quiver, d: tuple[int, ...], e: tuple[int, ...], p: int) -> int:
+    """Root minimizing the estimated DP cost (pair messages dominate)."""
     adj = q.neighbors()
 
     def cost(root: int) -> int:
@@ -603,10 +599,9 @@ def _crt(residues: list[int], fields: list[PrimeField]) -> int:
     return x
 
 
-def decode(counts: dict[int, int], chi: int, *, exact: bool = True) -> list[int] | None:
+def decode(counts: dict[int, int], chi: int) -> list[int] | None:
     """Coefficients c_0, c_1, ... of the polynomial with P(p) = counts[p],
-    every c_i >= 0 and sum c_i = chi (<= chi unless ``exact``); None when
-    there is no such polynomial.
+    every c_i >= 0 and sum c_i <= chi; None when there is no such polynomial.
 
     The product of the primes must exceed chi.  Then c_0 <= chi is the CRT
     residue of the counts; (P(p) - c_0) / p are the values of the polynomial
@@ -627,29 +622,28 @@ def decode(counts: dict[int, int], chi: int, *, exact: bool = True) -> list[int]
         values = [(v - c) // f.p for v, f in zip(values, fields)]
         if min(values) < 0:
             return None
-    return None if exact and left else coeffs
+    return coeffs
 
 
-def _count_and_decode(count_at, primes: list[int], heldout: list[int], chi: int, *,
-                      exact: bool) -> tuple[dict[int, int], list[int] | None, str]:
-    """Counts at ``primes``, their decode and the held-out check.
+def _count_and_decode(count_at, primes: list[int], heldout: list[int],
+                      chi: int) -> tuple[list[int] | None, str]:
+    """Decode the counts at ``primes`` and check them at ``heldout``.
 
-    Returns (counts, coefficients or None, reason); ``reason`` is '' when the
-    decode succeeded and every held-out count agrees with it.
+    Returns (coefficients or None, reason); ``reason`` is '' when the decode
+    succeeded and every held-out count agrees with it.
     """
-    counts = {p: count_at(p) for p in primes}
-    coeffs = decode(counts, chi, exact=exact)
+    coeffs = decode({p: count_at(p) for p in primes}, chi)
     if coeffs is None:
-        return counts, None, (f"decode failed: the counts at primes {primes} fit no "
-                              f"polynomial with non-negative coefficients summing to "
-                              f"{'' if exact else 'at most '}{chi}")
+        return None, (f"decode failed: the counts at primes {primes} fit no "
+                      f"polynomial with non-negative coefficients summing to "
+                      f"at most {chi}")
     for p in heldout:
-        counts[p] = count_at(p)
+        counted = count_at(p)
         value = sum(c * p**i for i, c in enumerate(coeffs))
-        if value != counts[p]:
-            return counts, coeffs, (f"held-out mismatch at p={p}: counted {counts[p]}, "
-                                    f"decoded polynomial gives {value}")
-    return counts, coeffs, ""
+        if value != counted:
+            return coeffs, (f"held-out mismatch at p={p}: counted {counted}, "
+                            f"decoded polynomial gives {value}")
+    return coeffs, ""
 
 
 @functools.lru_cache(maxsize=None)
@@ -663,7 +657,7 @@ def _indecomposable_poly(quiver: Quiver, label, f: tuple[int, ...]) -> tuple[tup
 
     bound = count_at(2)
     primes, heldout = _schedule(bound)
-    _, coeffs, reason = _count_and_decode(count_at, primes, heldout, bound, exact=False)
+    coeffs, reason = _count_and_decode(count_at, primes, heldout, bound)
     if reason:
         raise CountError(f"counting polynomial of Gr_{f}({label}): {reason}")
     return tuple(coeffs), (heldout or primes)[-1]

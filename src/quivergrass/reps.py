@@ -58,32 +58,6 @@ class Representation:
         return f"Representation(dims={self.dims}, p={self.field.p})"
 
 
-class Morphism:
-    """A vertex-wise collection of matrices phi_i : M_i -> N_i."""
-
-    def __init__(self, source: Representation, target: Representation, blocks):
-        if source.quiver is not target.quiver and source.quiver != target.quiver:
-            raise RepError("morphism between representations of different quivers")
-        if source.field != target.field:
-            raise RepError("morphism between representations over different fields")
-        self.source = source
-        self.target = target
-        self.blocks = [source.field.mat(b) for b in blocks]
-        for i, b in enumerate(self.blocks):
-            if b.shape != (target.dims[i], source.dims[i]):
-                raise RepError(f"vertex {i}: block shape {b.shape} mismatched")
-
-    def is_valid(self) -> bool:
-        """Exact check of the commuting squares N_a phi_s = phi_t M_a."""
-        f = self.source.field
-        for a, (s, t) in enumerate(self.source.quiver.arrows):
-            lhs = f.mul(self.target.maps[a], self.blocks[s])
-            rhs = f.mul(self.blocks[t], self.source.maps[a])
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
-
-
 def zero_rep(quiver: Quiver, field: PrimeField) -> Representation:
     return Representation(quiver, field, [0] * quiver.n)
 
@@ -198,29 +172,6 @@ def _hom_system(m: Representation, n: Representation) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """A basis of Hom_Q(M, N) as explicit morphisms."""
-    if m.quiver != n.quiver or m.field != n.field:
-        raise RepError("Hom between mismatched representations")
-    f = m.field
-    sys = _hom_system(m, n)
-    ker = f.kernel_basis(sys)
-    q = m.quiver
-    out = []
-    for k in range(ker.shape[1]):
-        vec = ker[:, k]
-        blocks = []
-        off = 0
-        for i in range(q.n):
-            sz = m.dims[i] * n.dims[i]
-            blocks.append(vec[off : off + sz].reshape(m.dims[i], n.dims[i]).T)
-            off += sz
-        mor = Morphism(m, n, blocks)
-        assert mor.is_valid()
-        out.append(mor)
-    return out
-
-
 def hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom_Q(M, N), the nullity of the commuting-square system."""
     if m.quiver != n.quiver or m.field != n.field:
@@ -248,149 +199,6 @@ def end_dim(m: Representation) -> int:
 def is_rigid(m: Representation) -> bool:
     """True iff Ext^1(M, M) = 0, i.e. the orbit of M is dense."""
     return ext1_dim(m, m) == 0
-
-
-# -- kernels, cokernels, radical, socle ------------------------------------
-
-def kernel_rep(phi: Morphism) -> tuple[Representation, Morphism]:
-    """Vertex-wise kernel with induced maps, plus its inclusion."""
-    if not phi.is_valid():
-        raise RepError("kernel of a non-commuting collection of maps")
-    return sub_representation(phi.source, [phi.source.field.kernel_basis(b) for b in phi.blocks])
-
-
-def image_subrep(phi: Morphism) -> tuple[Representation, Morphism]:
-    """Vertex-wise image inside the target, plus its inclusion."""
-    if not phi.is_valid():
-        raise RepError("image of a non-commuting collection of maps")
-    return sub_representation(phi.target, [phi.target.field.image_basis(b) for b in phi.blocks])
-
-
-def cokernel_rep(phi: Morphism) -> tuple[Representation, Morphism]:
-    """Vertex-wise cokernel with induced maps, plus the projection from the target."""
-    if not phi.is_valid():
-        raise RepError("cokernel of a non-commuting collection of maps")
-    n = phi.target
-    f = n.field
-    q = n.quiver
-    projs = [f.quotient_projection(b) for b in phi.blocks]
-    dims = [p.shape[0] for p in projs]
-    maps = {}
-    for a, (s, t) in enumerate(q.arrows):
-        # induced map: solve proj_t N_a = C proj_s for C; proj_s is surjective
-        rhs = f.mul(projs[t], n.maps[a])
-        c = f.solve(projs[s].T, rhs.T)
-        assert c is not None
-        maps[a] = c.T if c.ndim == 2 else c.reshape(dims[t], dims[s])
-    coker = Representation(q, f, dims, maps)
-    pr = Morphism(n, coker, projs)
-    assert pr.is_valid()
-    return coker, pr
-
-
-def sub_representation(m: Representation, bases) -> tuple[Representation, Morphism]:
-    """The subrepresentation spanned vertex-wise by ``bases`` (columns).
-
-    The spans must be arrow-stable; raises otherwise.
-    """
-    f = m.field
-    q = m.quiver
-    bases = [f.mat(b) for b in bases]
-    dims = [b.shape[1] for b in bases]
-    maps = {}
-    for a, (s, t) in enumerate(q.arrows):
-        img = f.mul(m.maps[a], bases[s])
-        sol = f.solve(bases[t], img)
-        if sol is None:
-            raise RepError("spans are not arrow-stable")
-        maps[a] = sol if sol.ndim == 2 else sol.reshape(dims[t], dims[s])
-    sub = Representation(q, f, dims, maps)
-    inc = Morphism(sub, m, bases)
-    assert inc.is_valid()
-    return sub, inc
-
-
-def radical(m: Representation) -> tuple[Representation, Morphism]:
-    """rad M: the subrepresentation generated by all arrow images."""
-    f = m.field
-    q = m.quiver
-    bases = []
-    for i in range(q.n):
-        cols = [m.maps[a] for a in q.arrows_in(i)]
-        stacked = np.concatenate(cols, axis=1) if cols else f.zeros(m.dims[i], 0)
-        bases.append(f.image_basis(stacked))
-    return sub_representation(m, bases)
-
-
-def socle(m: Representation) -> tuple[Representation, Morphism]:
-    """soc M: vertex-wise intersection of kernels of all outgoing maps."""
-    f = m.field
-    q = m.quiver
-    bases = []
-    for i in range(q.n):
-        rows = [m.maps[a] for a in q.arrows_out(i)]
-        stacked = np.concatenate(rows, axis=0) if rows else f.zeros(0, m.dims[i])
-        bases.append(f.kernel_basis(stacked))
-    return sub_representation(m, bases)
-
-
-def top(m: Representation) -> tuple[Representation, Morphism]:
-    """top M = M / rad M, with the projection from M."""
-    _, inc = radical(m)
-    return cokernel_rep(inc)
-
-
-def projective_cover(m: Representation) -> tuple[Representation, Morphism]:
-    """P(top M) together with a surjection onto M."""
-    f = m.field
-    q = m.quiver
-    t, pr = top(m)
-    summands = []
-    gens: list[tuple[int, np.ndarray]] = []  # (vertex, generator in M_i)
-    for i in range(q.n):
-        if t.dims[i] == 0:
-            continue
-        # lift the quotient basis through the projection M_i -> top_i
-        lift = f.solve(pr.blocks[i], f.eye(t.dims[i]))
-        assert lift is not None
-        for k in range(t.dims[i]):
-            summands.append(projective(q, f, i))
-            gens.append((i, lift[:, k]))
-    if not summands:
-        cover = zero_rep(q, f)
-        return cover, Morphism(cover, m, [f.zeros(m.dims[i], 0) for i in range(q.n)])
-    cover = direct_sum(*summands)
-    blocks = [f.zeros(m.dims[i], cover.dims[i]) for i in range(q.n)]
-    offsets = [0] * q.n
-    for (i, gen), summand in zip(gens, summands):
-        for j, paths in enumerate(_paths_by_end(q, i)):
-            for col, arrs in enumerate(paths):
-                vec = gen
-                for a in arrs:
-                    vec = f.mul(m.maps[a], vec.reshape(-1, 1)).ravel()
-                blocks[j][:, offsets[j] + col] = vec
-        for j in range(q.n):
-            offsets[j] += summand.dims[j]
-    phi = Morphism(cover, m, blocks)
-    assert phi.is_valid()
-    for i in range(q.n):
-        if f.rank(blocks[i]) != m.dims[i]:
-            raise RepError("projective cover is not surjective (internal error)")
-    return cover, phi
-
-
-def injective_hull(m: Representation) -> tuple[Representation, Morphism]:
-    """I(soc M) together with an embedding of M.
-
-    Derived by duality: the hull is D P(top DM) and the embedding is the
-    transpose of the cover DP -> DM.  The cover's surjectivity check is the
-    embedding's injectivity check, since it runs on the transposes.
-    """
-    cover, phi = projective_cover(dual(m))
-    hull = dual(cover)
-    psi = Morphism(m, hull, [b.T for b in phi.blocks])
-    assert psi.is_valid()
-    return hull, psi
 
 
 # -- reflection functors ---------------------------------------------------

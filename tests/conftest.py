@@ -2,10 +2,29 @@
 once per session and reused by both the unit tests and the acceptance
 suite."""
 
+import numpy as np
 import pytest
 
 from quivergrass.lab import PrincipalConfig, classify_all
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
+from quivergrass.reps import Representation
+
+
+@pytest.fixture(scope="session")
+def mod_socle():
+    """M -> M / soc M, built from M's matrices: at each vertex the quotient
+    by the common kernel of the out-maps, and for each arrow the map C with
+    pr_t M_a = C pr_s, solved for because pr_s is surjective."""
+    def build(m):
+        f, q = m.field, m.quiver
+        projs = []
+        for i in range(q.n):
+            out_maps = [m.maps[a] for a in q.arrows_out(i)] + [f.zeros(0, m.dims[i])]
+            projs.append(f.quotient_projection(f.kernel_basis(np.concatenate(out_maps))))
+        maps = [f.solve(projs[s].T, f.mul(projs[t], m.maps[a]).T).T
+                for a, (s, t) in enumerate(q.arrows)]
+        return Representation(q, f, [pr.shape[0] for pr in projs], maps)
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,7 @@ def test_criterion_07_zigzag_components(zigzag3_cfg, zigzag3_report):
     assert cls.top_count == 4  # 2^(n-1)
 
 
-def test_criterion_08_equioriented_flat_family(eq_a3_cfg, eq_a3_report):
+def test_criterion_08_equioriented_flat_family(eq_a3_cfg, eq_a3_report, mod_socle):
     rep = eq_a3_report
     cat = eq_a3_cfg.catalog
     generic = generic_isoclass(cat, eq_a3_cfg.d)
@@ -148,8 +148,7 @@ def test_criterion_08_equioriented_flat_family(eq_a3_cfg, eq_a3_report):
         counts[cat.simple_label(v)] = counts.get(cat.simple_label(v), 0) + 1
     for v in range(3):
         inj = cat.realize(Isoclass({cat.injective_label(v): 1}))
-        soc, incl = reps.socle(inj)
-        quot, _ = reps.cokernel_rep(incl)
+        quot = mod_socle(inj)
         if quot.total_dim:
             for lab, k in cat.decompose(quot).counts.items():
                 counts[lab] = counts.get(lab, 0) + k

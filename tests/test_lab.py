@@ -17,7 +17,6 @@ from quivergrass.lab import (
 )
 from quivergrass.pointcount import Classification, CountingPolynomial
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
-from quivergrass import reps
 from quivergrass.poset import build_poset
 
 REPO = Path(__file__).resolve().parent.parent
@@ -131,7 +130,7 @@ def test_conjectured_m2_zigzag(zigzag3_cfg):
     assert got == expect
 
 
-def test_conjectured_m2_equioriented_is_p_s_i_mod_socle(eq_a3_cfg):
+def test_conjectured_m2_equioriented_is_p_s_i_mod_socle(eq_a3_cfg, mod_socle):
     # equioriented A3: the deepest representation is P + S + I/S
     cfg = eq_a3_cfg
     cat = cfg.catalog
@@ -140,8 +139,7 @@ def test_conjectured_m2_equioriented_is_p_s_i_mod_socle(eq_a3_cfg):
         counts[cat.simple_label(v)] = counts.get(cat.simple_label(v), 0) + 1
     for v in range(3):
         inj = cat.realize(Isoclass({cat.injective_label(v): 1}))
-        soc, incl = reps.socle(inj)
-        quot, _ = reps.cokernel_rep(incl)
+        quot = mod_socle(inj)
         if quot.total_dim:
             lab = next(iter(cat.decompose(quot).counts))
             counts[lab] = counts.get(lab, 0) + 1
@@ -196,8 +194,27 @@ def test_conjecture_b_and_c_zigzag(zigzag3_cfg, zigzag3_report):
     assert b.holds is True
     c = check_conjecture(zigzag3_cfg, "C", report=zigzag3_report)
     assert c.holds is True
-    d = check_conjecture(zigzag3_cfg, "D", report=zigzag3_report)
-    assert d.holds is True
+
+
+@pytest.mark.parametrize("name, holds, only_hom, only_gamma2", [
+    ("d4_center", False, 0, 1),
+    ("zigzag3", True, 0, 0),
+    ("eq_a3", True, 0, 0),
+    ("p1xp1", False, 0, 1),
+    ("a4", False, 0, 20),
+])
+def test_conjecture_d_verdicts(name, holds, only_hom, only_gamma2, request):
+    # the Hom-bound set misses gamma2 nodes on three fixtures, never adds
+    # one, and its dual form always agrees
+    cfg = request.getfixturevalue(f"{name}_cfg")
+    d = check_conjecture(cfg, "D", report=request.getfixturevalue(f"{name}_report"))
+    assert d.holds is holds
+    assert (len(d.details["only_hom"]), len(d.details["only_gamma2"])) == (only_hom, only_gamma2)
+    assert d.details["dual_agrees"] is True
+    if name == "d4_center":
+        assert d.details["only_gamma2"] == [
+            "2*V(0,0,0,1) + 2*V(0,0,1,0) + 2*V(0,1,0,0) + V(0,1,0,1) + "
+            "V(0,1,1,0) + 2*V(1,0,0,0) + V(1,1,0,0)"]
 
 
 def test_conjecture_b_with_deficient_vertices(p1xp1_cfg, p1xp1_report):
@@ -304,11 +321,14 @@ def test_empty_and_inconsistent_nodes_stay_out_of_the_loci(monkeypatch):
 def test_budget_failures_become_gaps_outside_the_loci():
     # every eq-A3 node's DP check enumerates Gr(2, 4) at p = 3: 130 subspaces
     cfg = PrincipalConfig(linear_quiver(3, ">>"), (1, 1, 1), (1, 1, 1), enum_budget=100)
-    report = lab.classify_all(cfg)  # no LabError or PosetError
+    calls = []
+    report = lab.classify_all(cfg, progress=lambda *args: calls.append(args))
     assert report.gaps == [
         f"{iso}: enumeration budget exceeded: 130 subspaces of Gr(2,4) at p=3"
         for iso in cfg.poset.nodes
     ]
+    # every gap is still reported, so the last call reaches k = n
+    assert calls == [(k + 1, 35, iso, None) for k, iso in enumerate(cfg.poset.nodes)]
     for iso in cfg.poset.nodes:
         assert iso not in report.classifications
         assert iso not in report.gamma1 and iso not in report.gamma2

@@ -13,7 +13,7 @@ from quivergrass import pointcount
 from quivergrass.pointcount import (
     CountError,
     CountingPolynomial,
-    _choose_root,
+    _cheapest_root,
     _count_and_decode,
     _indecomposable_chi,
     _product,
@@ -274,8 +274,8 @@ def test_decode_recovers_non_negative_polynomials(coeffs):
     primes, heldout = _schedule(chi)
     counts = {p: _value(coeffs, p) for p in primes}
     assert decode(counts, chi) == _strip(coeffs)
-    got = _count_and_decode(lambda p: _value(coeffs, p), primes, heldout, chi, exact=True)
-    assert got[1:] == (_strip(coeffs), "")
+    got = _count_and_decode(lambda p: _value(coeffs, p), primes, heldout, chi)
+    assert got == (_strip(coeffs), "")
 
 
 @given(coeffs=st.lists(st.integers(0, 40), min_size=1, max_size=9),
@@ -291,23 +291,23 @@ def test_single_count_perturbation_never_consistent(coeffs, which, delta):
     def count_at(p):
         return _value(coeffs, p) + (shift if p == bad else 0)
 
-    _, _, reason = _count_and_decode(count_at, primes, heldout, chi, exact=True)
+    _, reason = _count_and_decode(count_at, primes, heldout, chi)
     assert reason.startswith(("decode failed", "held-out mismatch"))
 
 
 def test_decode_failure_and_mismatch_are_told_apart():
     # q^2 + 1: chi = 2, decoded from p = 2, 3 and checked at 5, 7
     assert decode({2: 5, 3: 10}, 2) == [1, 0, 1]
-    assert decode({2: 5, 3: 10}, 3) is None  # coefficients sum to 2, not 3
-    assert decode({2: 5, 3: 10}, 3, exact=False) == [1, 0, 1]
+    assert decode({2: 5, 3: 10}, 3) == [1, 0, 1]  # chi bounds the sum from above
+    assert decode({2: 5, 3: 10}, 1) is None  # coefficients sum to 2 > 1
     assert decode({2: 6, 3: 10}, 2) is None
     with pytest.raises(CountError, match="too few"):
         decode({2: 5}, 2)  # 2 does not exceed chi = 2
     counts = {2: 5, 3: 10, 5: 26, 7: 51}
-    _, coeffs, reason = _count_and_decode(counts.get, [2, 3], [5, 7], 2, exact=True)
+    coeffs, reason = _count_and_decode(counts.get, [2, 3], [5, 7], 2)
     assert coeffs == [1, 0, 1] and reason.startswith("held-out mismatch at p=7")
     counts[3] = 11
-    _, coeffs, reason = _count_and_decode(counts.get, [2, 3], [5, 7], 2, exact=True)
+    coeffs, reason = _count_and_decode(counts.get, [2, 3], [5, 7], 2)
     assert coeffs is None and reason.startswith("decode failed")
 
 
@@ -379,7 +379,7 @@ def test_point_root_equals_brute_force(quiver, seed, p):
     m = Representation(quiver, f, dims,
                        [_random_map(rng, f, dims[t], dims[s]) for s, t in quiver.arrows])
     e = [int(rng.choice([1, dims[0] - 1]))] + [int(rng.integers(0, dv + 1)) for dv in dims[1:]]
-    assert _choose_root(quiver, m.dims, e, p) == 0
+    assert _cheapest_root(quiver, m.dims, tuple(e), p) == 0
     # the point root enumerates nothing, so no budget can trip
     assert count_points(m, e, p, enum_budget=1) == brute_force_count(m, e, p)
 
@@ -439,7 +439,7 @@ def test_point_root_of_a_realized_isoclass_equals_brute_force(quiver, seed, p):
             total = [t + dv for t, dv in zip(total, lab.dims)]
     m = cat.realize(Isoclass(counts))
     e = [int(rng.choice([1, m.dims[0] - 1]))] + [int(rng.integers(0, dv + 1)) for dv in m.dims[1:]]
-    assert _choose_root(quiver, m.dims, e, p) == 0
+    assert _cheapest_root(quiver, m.dims, tuple(e), p) == 0
     assert count_points(m, e, p, enum_budget=1) == brute_force_count(m, e, p)
 
 
@@ -567,8 +567,7 @@ def test_product_equals_the_decoded_counts_on_eq_a3(eq_a3_report):
         def count_at(p):
             return count_points(cfg.catalog_at(p).realize(iso), cfg.e, p)
 
-        assert _count_and_decode(count_at, primes, heldout, sum(coeffs),
-                                 exact=True)[1:] == (coeffs, "")
+        assert _count_and_decode(count_at, primes, heldout, sum(coeffs)) == (coeffs, "")
 
 
 D5_CENTER = Quiver([1, 2, 3, 4, 5], [(1, 2), (3, 2), (4, 2), (5, 4)])
