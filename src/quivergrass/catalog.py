@@ -3,11 +3,13 @@
 For a Dynkin quiver the indecomposables biject with positive roots.  The
 catalog holds one canonical matrix model per positive root, generated by a
 deterministic chain of reflection functors from simples, so every run is
-bit-reproducible.  The chain (roots, sink sequence, orientations and the
-word per root) does not depend on the prime: it is planned once per quiver,
-and a catalog over F_p only runs the reflection functors.  Isoclasses are multisets of catalog labels; ``realize``
-records the isoclass on the module it builds, and ``decompose`` recovers it
-from any module through Hom-dimension fingerprints.
+bit-reproducible.  The chain runs once per quiver, over F_107, and its maps
+are kept as integer matrices (with entries in {-1, 0, 1} on every
+orientation of A2-A5 and D4-D5, which the tests check).  A catalog over F_p reduces them mod p and checks End(X) = F_p
+for every model with one batched rank, which makes each reduction the
+indecomposable of its root.  Isoclasses are multisets of catalog labels;
+``realize`` records the isoclass on the module it builds, and ``decompose``
+recovers it from any module through Hom-dimension fingerprints.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .reps import Representation, direct_sum, hom_dim, zero_rep
 
 class CatalogError(ValueError):
     pass
+
+
+# the default catalog prime, over which the reflection functors run once
+LIFT_PRIME = 107
 
 
 @dataclass(frozen=True, order=True)
@@ -145,16 +151,21 @@ def _admissible_sink_sequence(q: Quiver) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reflection_plan(q: Quiver) -> tuple:
-    """The prime-independent part of a catalog build, once per quiver.
+def _integer_models(q: Quiver) -> tuple:
+    """The quiver's catalog models as integer matrices, built once.
 
     Walks the periodic reflection word k_1 k_2 ... of the admissible sink
     sequence.  Root beta_t = s_{k_1} ... s_{k_{t-1}} (e_{k_t}) is new when
     it is positive and not yet found; its model is the simple at k_t over
-    the t-th orientation, reflected back along k_{t-1}, ..., k_1.  Returns
-    (word, orientations, starts): ``starts`` holds (label, t, k_t) per
-    positive root in label order, and ``orientations[j]`` is Q reversed
-    at k_1, ..., k_j.
+    Q reversed at k_1, ..., k_{t-1}, reflected back along k_{t-1}, ..., k_1.
+    The functors run once, over F_LIFT_PRIME, and each map is lifted to
+    its signed integer representative.
+
+    Returns (labels, models, maps, ends, unknowns), per positive root in
+    label order: the label, the model over F_LIFT_PRIME, its lifted maps,
+    and a zero-padded stack of the integer End systems with each system's
+    own number of unknowns sum_i d_i^2.  The End system's entries are
+    +-(map entries), so its lift is the system of the integer maps.
     """
     roots = positive_roots(q)
     base_seq = _admissible_sink_sequence(q)
@@ -178,8 +189,28 @@ def _reflection_plan(q: Quiver) -> tuple:
         seq.append(k)
         quivers.append(quivers[-1].reversed_at(quivers[-1].name(k)))
         t += 1
-    starts = tuple((_label_for(q, dims), *found[dims]) for dims in sorted(found))
-    return tuple(seq), tuple(quivers), starts
+    field = PrimeField(LIFT_PRIME)
+    labels, models = [], []
+    for dims in sorted(found):
+        t, k = found[dims]
+        m = reps.simple(quivers[t], field, k)
+        for j in range(t - 1, -1, -1):
+            # k_j is a source of quivers[j+1]; reflect back toward Q
+            m = reps.reflection_functor(m, seq[j])
+            if m.quiver != quivers[j]:
+                raise CatalogError("reflection bookkeeping error")
+        if m.dims != dims:
+            raise CatalogError("reflection functor produced a wrong dimension vector")
+        labels.append(_label_for(q, dims))
+        models.append(m)
+    maps = tuple(tuple(field.lift_signed(a) for a in m.maps) for m in models)
+    systems = [field.lift_signed(reps._hom_system(m, m)) for m in models]
+    ends = np.zeros((len(systems), max(s.shape[0] for s in systems),
+                     max(s.shape[1] for s in systems)), dtype=np.int64)
+    for a, s in zip(ends, systems):
+        a[: s.shape[0], : s.shape[1]] = s
+    unknowns = np.array([s.shape[1] for s in systems], dtype=np.int64)
+    return tuple(labels), tuple(models), maps, ends, unknowns
 
 
 def _label_for(q: Quiver, dims: tuple[int, ...]) -> IndecLabel:
@@ -199,8 +230,6 @@ class Catalog:
             raise CatalogError("catalog requires a type A or D quiver")
         self.quiver = quiver
         self.field = field
-        self.labels: list[IndecLabel] = []
-        self.models: dict[IndecLabel, Representation] = {}
         self._build()
         self._position = {lab: a for a, lab in enumerate(self.labels)}
         self._by_dims = {lab.dims: lab for lab in self.labels}
@@ -211,19 +240,22 @@ class Catalog:
     # construction
 
     def _build(self):
-        """Run the quiver's reflection plan over this catalog's field."""
-        seq, quivers, starts = _reflection_plan(self.quiver)
-        for label, t, k in starts:
-            m = reps.simple(quivers[t], self.field, k)
-            for j in range(t - 1, -1, -1):
-                # k_j is a source of quivers[j+1]; reflect back toward Q
-                m = reps.reflection_functor(m, seq[j])
-                if m.quiver != quivers[j]:
-                    raise CatalogError("reflection bookkeeping error")
-            if m.dims != label.dims:
-                raise CatalogError("reflection functor produced a wrong dimension vector")
-            self.labels.append(label)
-            self.models[label] = m
+        """Reduce the quiver's integer models mod p.  Each reduction must
+        keep End(X) = F_p: then it is a brick, so by Gabriel's theorem the
+        indecomposable of its root over F_p.  At the lift prime the models
+        are the reflection output itself."""
+        labels, models, maps, ends, unknowns = _integer_models(self.quiver)
+        self.labels = list(labels)
+        if self.field.p == LIFT_PRIME:
+            self.models = dict(zip(labels, models))
+            return
+        nullity = unknowns - self.field.batched_rank(ends)
+        for label, x in zip(labels, nullity):
+            if x != 1:
+                raise CatalogError(f"the integer model of {label} is not a brick "
+                                   f"at p={self.field.p}: dim End = {x}")
+        self.models = {label: Representation(self.quiver, self.field, label.dims, m)
+                       for label, m in zip(labels, maps)}
 
     def _unit(self, k: int):
         return [1 if i == k else 0 for i in range(self.quiver.n)]
@@ -385,6 +417,6 @@ def _cached_catalog(quiver: Quiver, p: int) -> Catalog:
     return Catalog(quiver, PrimeField(p))
 
 
-def get_catalog(quiver: Quiver, p: int = 107) -> Catalog:
+def get_catalog(quiver: Quiver, p: int = LIFT_PRIME) -> Catalog:
     """Shared read-only catalog for (quiver, prime); built once per pair."""
     return _cached_catalog(quiver, p)

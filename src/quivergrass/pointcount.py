@@ -651,13 +651,14 @@ def _indecomposable_poly(quiver: Quiver, label, f: tuple[int, ...]) -> tuple[tup
     """The coefficients of P_{X,f}, the counting polynomial of Gr_f(X) for
     the catalog model X named by ``label``, and the largest prime its decode
     counted at.  The decode is bounded by chi <= |Gr_f(X)(F_2)|, which holds
-    because the coefficients are non-negative."""
+    because the coefficients are non-negative; the decode reuses that count."""
     def count_at(p: int) -> int:
         return count_points(get_catalog(quiver, p).models[label], f, p)
 
     bound = count_at(2)
     primes, heldout = _schedule(bound)
-    coeffs, reason = _count_and_decode(count_at, primes, heldout, bound)
+    coeffs, reason = _count_and_decode(
+        lambda p: bound if p == 2 else count_at(p), primes, heldout, bound)
     if reason:
         raise CountError(f"counting polynomial of Gr_{f}({label}): {reason}")
     return tuple(coeffs), (heldout or primes)[-1]

@@ -1,9 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivergrass.catalog import Catalog, CatalogError, Isoclass, get_catalog, positive_roots
-from quivergrass.linalg import PrimeField
+from quivergrass import catalog
+from quivergrass.catalog import (
+    LIFT_PRIME,
+    Catalog,
+    CatalogError,
+    Isoclass,
+    _admissible_sink_sequence,
+    _label_for,
+    get_catalog,
+    positive_roots,
+)
+from quivergrass.linalg import PrimeField, is_prime
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass import reps
 
@@ -143,3 +155,104 @@ def test_fold_positions_reject_an_order_with_ext():
     with pytest.raises(CatalogError, match="Ext"):
         cat.fold_positions()
 
+
+
+# -- integer models against a per-prime reflection build -------------------
+
+def reference_models(q: Quiver, field: PrimeField) -> dict:
+    """label -> model, from the reflection word run over ``field`` itself:
+    root beta_t = s_{k_1} ... s_{k_{t-1}} (e_{k_t}) is new when positive and
+    not yet found, and its model is the simple at k_t reflected back along
+    k_{t-1}, ..., k_1."""
+    roots = positive_roots(q)
+    base_seq = _admissible_sink_sequence(q)
+    adj = q.neighbors()
+    found, quivers, seq, t = {}, [q], [], 0
+    while len(found) < len(roots):
+        k = base_seq[t % q.n]
+        beta = [1 if i == k else 0 for i in range(q.n)]
+        for j in reversed(seq):
+            beta[j] = sum(beta[i] for i in adj[j]) - beta[j]
+        if tuple(beta) in roots and tuple(beta) not in found:
+            found[tuple(beta)] = (t, k)
+        seq.append(k)
+        quivers.append(quivers[-1].reversed_at(quivers[-1].name(k)))
+        t += 1
+    models = {}
+    for dims, (t, k) in found.items():
+        m = reps.simple(quivers[t], field, k)
+        for j in range(t - 1, -1, -1):
+            m = reps.reflection_functor(m, seq[j])
+        assert m.quiver == q and m.dims == dims
+        models[_label_for(q, dims)] = m
+    return models
+
+
+def _orientations(edges):
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        yield [(t, s) if flip else (s, t) for (s, t), flip in zip(edges, flips)]
+
+
+def _small_dynkin_quivers():
+    for n in (2, 3, 4, 5):
+        for arrows in _orientations([(i, i + 1) for i in range(1, n)]):
+            yield Quiver(list(range(1, n + 1)), arrows)
+    for edges in ([(1, 2), (3, 2), (4, 2)], [(1, 2), (3, 2), (4, 2), (5, 4)]):
+        for arrows in _orientations(edges):
+            yield Quiver(list(range(1, len(edges) + 2)), arrows)
+
+
+FIXTURE_QUIVERS = [
+    zigzag_quiver(3),  # zigzag A3 and P1xP1
+    linear_quiver(3, ">>"),
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)]),  # A4 deficient
+    D4,  # D4 into the center
+]
+
+
+def _assert_models_equal(q: Quiver, p: int):
+    cat = get_catalog(q, p)
+    ref = reference_models(q, PrimeField(p))
+    assert cat.labels == sorted(ref)
+    for label in cat.labels:
+        got, want = cat.models[label], ref[label]
+        assert got.quiver == q and got.dims == want.dims, (q, p, label)
+        for a, b in zip(got.maps, want.maps):
+            assert np.array_equal(a, b), (q, p, label)
+
+
+def test_models_equal_a_reflection_build_at_each_prime():
+    # 30 orientations of A2-A5 and 24 of D4-D5
+    quivers = list(_small_dynkin_quivers())
+    assert len(quivers) == 54
+    for q in quivers:
+        for p in (2, 3, 5, 7, 11, LIFT_PRIME):
+            _assert_models_equal(q, p)
+        # the module docstring's claim on the integer models
+        entries = {int(x) for m in catalog._integer_models(q)[2] for a in m for x in a.flat}
+        assert entries <= {-1, 0, 1}, q
+
+
+def test_fixture_models_equal_a_reflection_build_at_every_prime():
+    for q in FIXTURE_QUIVERS:
+        for p in filter(is_prime, range(2, LIFT_PRIME + 1)):
+            _assert_models_equal(q, p)
+
+
+def test_a_model_that_splits_mod_p_is_refused(monkeypatch):
+    # V(0,1,0,1) on D4 into the center is 0 -> F -> 0 with arrow 4 -> 2 the
+    # identity; with that map doubled it splits into two simples mod 2 only
+    labels, models, maps, ends, unknowns = catalog._integer_models(D4)
+    which = [lab.name for lab in labels].index("V(0,1,0,1)")
+    doubled = tuple(2 * a for a in maps[which])
+    assert doubled[2].tolist() == [[2]]  # arrow 4 -> 2
+    x = reps.Representation(D4, PrimeField(LIFT_PRIME), labels[which].dims, doubled)
+    system = reps._hom_system(x, x)
+    ends = ends.copy()
+    ends[which, : system.shape[0], : system.shape[1]] = system
+    patched = (labels, models, maps[:which] + (doubled,) + maps[which + 1:], ends, unknowns)
+    monkeypatch.setattr(catalog, "_integer_models", lambda q: patched)
+    with pytest.raises(CatalogError, match=r"V\(0,1,0,1\) is not a brick at p=2"):
+        Catalog(D4, PrimeField(2))
+    cat = Catalog(D4, PrimeField(3))
+    assert cat.models[labels[which]].maps[2].tolist() == [[2]]

@@ -298,7 +298,7 @@ def test_hilbert_table_validates_its_degree_list_before_any_table():
 def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     # perfbench/run.py:clear_caches calls cache_clear on every module-level
     # callable of quivergrass that has one, so each memo must be such a
-    # cache; the point counts, the catalogs' reflection plans, the reflected
+    # cache; the point counts, the catalogs' integer models, the reflected
     # quivers and the Pluecker rings, quadrics and relation terms keep their
     # tables under the same rule, or a "cold" set-up would run warm
     ring = layout_ring([3, 2])
@@ -315,7 +315,7 @@ def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
              "quivergrass.pointcount": {"_cached_enum", "_gauss_table", "_cheapest_root",
                                         "_summand_point_ranks", "_indecomposable_poly",
                                         "_summand_terms", "_box", "_power_table"},
-             "quivergrass.catalog": {"_cached_catalog", "_reflection_plan"},
+             "quivergrass.catalog": {"_cached_catalog", "_integer_models"},
              "quivergrass.quiver": {"_reversed_at", "_opposite"},
              "quivergrass.poset": set()}
     for module_name, expected in memos.items():

@@ -311,6 +311,36 @@ def test_decode_failure_and_mismatch_are_told_apart():
     assert coeffs is None and reason.startswith("decode failed")
 
 
+
+def test_summand_decodes_count_each_prime_once(d4_center_cfg, monkeypatch):
+    # the p = 2 count that bounds chi is also the decode's first count
+    q = d4_center_cfg.quiver
+    cat = get_catalog(q, 2)
+    cases = [(label, g) for label in cat.labels
+             for g in itertools.product(*(range(x + 1) for x in label.dims))]
+
+    def decoded_from_scratch(label, g):
+        def count_at(p):
+            return count_points(get_catalog(q, p).models[label], g, p)
+        bound = count_at(2)
+        coeffs, reason = _count_and_decode(count_at, *_schedule(bound), bound)
+        assert reason == ""
+        return tuple(coeffs)
+
+    want = {case: decoded_from_scratch(*case) for case in cases}
+    seen = []
+
+    def recording(m, f, p, *args, **kwargs):
+        seen.append((m.dims, tuple(f), p))
+        return count_points(m, f, p, *args, **kwargs)
+
+    pointcount._indecomposable_poly.cache_clear()
+    monkeypatch.setattr(pointcount, "count_points", recording)
+    for label, g in cases:
+        assert pointcount._indecomposable_poly(q, label, g)[0] == want[label, g]
+    assert len(seen) == len(set(seen)) > len(cases)
+
+
 def _newton_schedule(m_for_prime, e):
     """Counts at 2, 3, 5, ... until Newton interpolation is consistent."""
     counts = {}
