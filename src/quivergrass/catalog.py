@@ -5,11 +5,13 @@ catalog holds one canonical matrix model per positive root, generated by a
 deterministic chain of reflection functors from simples, so every run is
 bit-reproducible.  The chain runs once per quiver, over F_107, and its maps
 are kept as integer matrices (with entries in {-1, 0, 1} on every
-orientation of A2-A5 and D4-D5, which the tests check).  A catalog over F_p reduces them mod p and checks End(X) = F_p
-for every model with one batched rank, which makes each reduction the
-indecomposable of its root.  Isoclasses are multisets of catalog labels;
-``realize`` records the isoclass on the module it builds, and ``decompose``
-recovers it from any module through Hom-dimension fingerprints.
+orientation of A2-A5 and D4-D5, which the tests check), with their Hom
+matrix and the order in which the chain finds the roots.  A catalog over
+F_p reduces the maps mod p and checks End(X) = F_p for every model with one
+batched rank, which makes each reduction the indecomposable of its root.
+Isoclasses are multisets of catalog labels; ``realize`` records the
+isoclass on the module it builds, and ``decompose`` recovers it from any
+module through Hom-dimension fingerprints.
 """
 
 from __future__ import annotations
@@ -152,20 +154,20 @@ def _admissible_sink_sequence(q: Quiver) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _integer_models(q: Quiver) -> tuple:
-    """The quiver's catalog models as integer matrices, built once.
+    """Everything the quiver's catalogs share, whatever their prime, built once.
 
     Walks the periodic reflection word k_1 k_2 ... of the admissible sink
     sequence.  Root beta_t = s_{k_1} ... s_{k_{t-1}} (e_{k_t}) is new when
     it is positive and not yet found; its model is the simple at k_t over
     Q reversed at k_1, ..., k_{t-1}, reflected back along k_{t-1}, ..., k_1.
-    The functors run once, over F_LIFT_PRIME, and each map is lifted to
-    its signed integer representative.
+    The functors run once, over F_LIFT_PRIME; maps and Hom systems are
+    lifted to signed integers (a system's entries are +-(map entries)).
 
-    Returns (labels, models, maps, ends, unknowns), per positive root in
-    label order: the label, the model over F_LIFT_PRIME, its lifted maps,
-    and a zero-padded stack of the integer End systems with each system's
-    own number of unknowns sum_i d_i^2.  The End system's entries are
-    +-(map entries), so its lift is the system of the integer maps.
+    Returns (labels, maps, ends, unknowns, hom, order): per positive root
+    in label order the label, its integer maps, a zero-padded stack of the
+    End systems and each one's number of unknowns sum_i d_i^2; then the
+    read-only Hom matrix from one batched rank over every ordered pair, and
+    the label indices in the order the word finds the roots.
     """
     roots = positive_roots(q)
     base_seq = _admissible_sink_sequence(q)
@@ -204,13 +206,38 @@ def _integer_models(q: Quiver) -> tuple:
         labels.append(_label_for(q, dims))
         models.append(m)
     maps = tuple(tuple(field.lift_signed(a) for a in m.maps) for m in models)
-    systems = [field.lift_signed(reps._hom_system(m, m)) for m in models]
-    ends = np.zeros((len(systems), max(s.shape[0] for s in systems),
-                     max(s.shape[1] for s in systems)), dtype=np.int64)
-    for a, s in zip(ends, systems):
+    systems = [field.lift_signed(reps._hom_system(a, b)) for a in models for b in models]
+    shapes = np.array([s.shape for s in systems], dtype=np.int64)
+    stack = np.zeros((len(systems), *shapes.max(axis=0)), dtype=np.int64)
+    for a, s in zip(stack, systems):
         a[: s.shape[0], : s.shape[1]] = s
-    unknowns = np.array([s.shape[1] for s in systems], dtype=np.int64)
-    return tuple(labels), tuple(models), maps, ends, unknowns
+    n = len(models)
+    hom = (shapes[:, 1] - field.batched_rank(stack)).reshape(n, n)
+    hom.flags.writeable = False
+    diagonal = np.arange(n) * (n + 1)
+    rows, unknowns = shapes[diagonal].T
+    ends = stack[diagonal, : rows.max(), : unknowns.max()]
+    order = tuple(sorted(range(n), key=lambda a: found[labels[a].dims]))
+    _check_order(q, labels, hom, order)
+    return tuple(labels), maps, ends, unknowns, hom, order
+
+
+def _check_order(q: Quiver, labels, hom: np.ndarray, order) -> None:
+    """Require Hom to point forward along ``order`` and Ext^1(X_a, X_b) =
+    hom(X_a, X_b) - <dim X_a, dim X_b> to vanish whenever X_a does not
+    come after X_b, i.e. H in that order is the upper triangle of the Euler
+    form.  A direct sum built by adding summands from the last position to
+    the first then never adds an N with Ext^1(N, M) != 0 to the part M
+    already built."""
+    dims = [labels[a].dims for a in order]
+    euler = np.array([[q.euler_form(a, b) for b in dims] for a in dims], dtype=np.int64)
+    bad = np.argwhere(hom[np.ix_(order, order)] != np.triu(euler))
+    if len(bad):
+        i, j = bad[0]
+        la, lb = labels[order[i]], labels[order[j]]
+        kind, where = ("Ext^1", "before") if i <= j else ("Hom", "after")
+        raise CatalogError(f"{kind}({la}, {lb}) != 0, though {la} comes {where} {lb} "
+                           "(not Dynkin?)")
 
 
 def _label_for(q: Quiver, dims: tuple[int, ...]) -> IndecLabel:
@@ -233,22 +260,17 @@ class Catalog:
         self._build()
         self._position = {lab: a for a, lab in enumerate(self.labels)}
         self._by_dims = {lab.dims: lab for lab in self.labels}
-        self._hom_matrix: np.ndarray | None = None
-        self._order: list[int] | None = None
-        self._fold: dict[IndecLabel, int] | None = None
+        self._fold = {self.labels[a]: pos for pos, a in enumerate(self._order)}
 
     # construction
 
     def _build(self):
         """Reduce the quiver's integer models mod p.  Each reduction must
         keep End(X) = F_p: then it is a brick, so by Gabriel's theorem the
-        indecomposable of its root over F_p.  At the lift prime the models
-        are the reflection output itself."""
-        labels, models, maps, ends, unknowns = _integer_models(self.quiver)
+        indecomposable of its root over F_p, and the quiver's Hom matrix
+        and Hom order hold over F_p too."""
+        labels, maps, ends, unknowns, self._hom, self._order = _integer_models(self.quiver)
         self.labels = list(labels)
-        if self.field.p == LIFT_PRIME:
-            self.models = dict(zip(labels, models))
-            return
         nullity = unknowns - self.field.batched_rank(ends)
         for label, x in zip(labels, nullity):
             if x != 1:
@@ -286,50 +308,13 @@ class Catalog:
     # Hom fingerprints
 
     def hom_matrix(self) -> np.ndarray:
-        """H[a, b] = dim Hom(X_a, X_b) over the catalog, computed once."""
-        if self._hom_matrix is None:
-            n = len(self.labels)
-            h = np.zeros((n, n), dtype=np.int64)
-            for a, la in enumerate(self.labels):
-                for b, lb in enumerate(self.labels):
-                    h[a, b] = hom_dim(self.models[la], self.models[lb])
-            self._hom_matrix = h
-        return self._hom_matrix
-
-    def _topological_order(self) -> list[int]:
-        """Order the catalog so the Hom matrix becomes unitriangular."""
-        if self._order is None:
-            h = self.hom_matrix()
-            n = len(self.labels)
-            succ = {a: {b for b in range(n) if b != a and h[a, b] > 0} for a in range(n)}
-            order: list[int] = []
-            remaining = set(range(n))
-            while remaining:
-                free = sorted(a for a in remaining if not (succ[a] & remaining))
-                if not free:
-                    raise CatalogError("Hom cycle among indecomposables (not Dynkin?)")
-                order.append(free[0])
-                remaining.discard(free[0])
-            order.reverse()  # sources first: hom only points forward
-            self._order = order
-        return self._order
+        """H[a, b] = dim Hom(X_a, X_b), shared read-only by the quiver's
+        catalogs."""
+        return self._hom
 
     def fold_positions(self) -> dict[IndecLabel, int]:
-        """Each label's position in ``_topological_order``, after checking
-        once that Ext^1(X_a, X_b) = hom(X_a, X_b) - <dim X_a, dim X_b>
-        vanishes whenever X_a does not come after X_b.  A direct sum built
-        by adding summands from the last position to the first then never
-        adds an N with Ext^1(N, M) != 0 to the part M already built."""
-        if self._fold is None:
-            h, order = self.hom_matrix(), self._topological_order()
-            for i, a in enumerate(order):
-                la = self.labels[a]
-                for b in order[i:]:
-                    lb = self.labels[b]
-                    if h[a, b] != self.quiver.euler_form(la.dims, lb.dims):
-                        raise CatalogError(f"Ext^1({la}, {lb}) != 0, though {la} "
-                                           f"comes before {lb} (not Dynkin?)")
-            self._fold = {self.labels[a]: pos for pos, a in enumerate(order)}
+        """Each label's position in the Hom order that ``_check_order``
+        accepted."""
         return self._fold
 
     # realize / decompose
@@ -373,15 +358,11 @@ class Catalog:
         the fingerprint (the input is then not a sum of catalog models).
         """
         f = self.fingerprint(m)
-        h = self.hom_matrix()
-        order = self._topological_order()
+        h, order = self._hom, self._order
         mult = np.zeros(len(self.labels), dtype=np.int64)
         for pos in range(len(order) - 1, -1, -1):
-            a = order[pos]
-            acc = f[a]
-            for later in order[pos + 1 :]:
-                acc -= mult[later] * h[a, later]
-            mult[a] = acc
+            later = list(order[pos + 1 :])
+            mult[order[pos]] = f[order[pos]] - h[order[pos], later] @ mult[later]
         if (mult < 0).any() or not np.array_equal(h @ mult, f):
             raise CatalogError(
                 "representation does not decompose over the catalog at this prime"

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .catalog import get_catalog
+from .catalog import LIFT_PRIME, get_catalog
 from .groebner import hilbert_table, hilbert_table_json
 from .lab import (
     PrincipalConfig,
@@ -85,7 +85,8 @@ def main(argv=None) -> int:
                            help="largest prime a per-summand decode may count at; "
                                 "a node whose summands need more is an error "
                                 "(default 101)")
-        p.add_argument("--prime", type=int, default=0, help="working prime (default 107)")
+        p.add_argument("--prime", type=int, default=0,
+                       help=f"working prime (default {LIFT_PRIME}; 2 for count)")
         p.add_argument("--out", default="", help="output directory (default: stdout)")
 
     p = sub.add_parser("catalog", help="list the indecomposables and Hom matrix")
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
 
     if args.verb == "catalog":
         q = _read_quiver(args.quiver)
-        cat = get_catalog(q, args.prime or 107)
+        cat = get_catalog(q, args.prime or LIFT_PRIME)
         h = cat.hom_matrix()
         data = {
             "quiver": repr(q),

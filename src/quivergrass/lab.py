@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .catalog import Catalog, Isoclass, IndecLabel, get_catalog
+from .catalog import LIFT_PRIME, Catalog, Isoclass, IndecLabel, get_catalog
 from .groebner import GroebnerError, hilbert_table
 from .pluecker import ideal
 from .pointcount import (
@@ -49,7 +49,7 @@ class PrincipalConfig:
     """P = sum u^P_j P_j, I = sum u^I_j I_j and everything derived from them."""
 
     def __init__(self, quiver: Quiver, proj_mult, inj_mult, *,
-                 catalog_prime: int = 107, max_prime: int = 101,
+                 catalog_prime: int = LIFT_PRIME, max_prime: int = 101,
                  max_nodes: int = DEFAULT_NODE_BUDGET,
                  enum_budget: int = DEFAULT_ENUM_BUDGET,
                  pair_budget: int = DEFAULT_PAIR_BUDGET):
@@ -102,8 +102,9 @@ class PrincipalConfig:
         Sections: [quiver] (file= relative to the config file's directory,
         or inline text=), [principal] (proj=/inj= comma lists), [compute]
         (catalog_prime, max_prime, max_nodes, enum_budget, pair_budget;
-        integers).  An unknown section or key raises LabError rather than
-        running with a default.
+        integers).  An unknown section or key, a missing [principal]
+        section or key and a value that is not an integer raise LabError
+        naming the file, rather than running with a default.
         """
         cp = configparser.ConfigParser()
         with open(path) as fh:
@@ -120,10 +121,22 @@ class PrincipalConfig:
         elif cp.has_option("quiver", "text"):
             quiver = parse_quiver(cp.get("quiver", "text").replace(";", "\n"))
         else:
-            raise LabError("config needs [quiver] file= or text=")
-        proj = _int_list(cp.get("principal", "proj"))
-        inj = _int_list(cp.get("principal", "inj"))
-        kwargs = {k: int(v) for k, v in cp.items("compute")} if cp.has_section("compute") else {}
+            raise LabError(f"config needs [quiver] file= or text= in {path}")
+
+        def value(section, key, parse):
+            try:
+                text = cp.get(section, key)
+                return parse(text)
+            except configparser.Error as err:
+                raise LabError(f"{err.message} in {path}") from None
+            except ValueError:
+                raise LabError(f"[{section}] {key} = {text!r} in {path} "
+                               "is not an integer") from None
+
+        proj = value("principal", "proj", _int_list)
+        inj = value("principal", "inj", _int_list)
+        compute = cp.options("compute") if cp.has_section("compute") else []
+        kwargs = {k: value("compute", k, int) for k in compute}
         kwargs.update(overrides)
         return cls(quiver, proj, inj, **kwargs)
 

@@ -59,13 +59,14 @@ def test_catalog_realizes_indecomposables():
 
 
 def test_hom_matrix_against_direct_hom():
-    cat = get_catalog(zigzag_quiver(3))
-    h = cat.hom_matrix()
-    for a, la in enumerate(cat.labels):
-        for b, lb in enumerate(cat.labels):
-            ma = cat.realize(Isoclass({la: 1}))
-            mb = cat.realize(Isoclass({lb: 1}))
-            assert h[a, b] == reps.hom_dim(ma, mb)
+    # the Hom matrix comes from the integer models over F_107 once per
+    # quiver; every catalog of the quiver must agree with its own solves
+    for q in _small_dynkin_quivers():
+        for p in (2, 3, LIFT_PRIME):
+            cat = get_catalog(q, p)
+            models = [cat.models[lab] for lab in cat.labels]
+            want = [[reps.hom_dim(a, b) for b in models] for a in models]
+            assert cat.hom_matrix().tolist() == want, (q, p)
 
 
 @pytest.mark.parametrize("quiver", [linear_quiver(3, ">>"), zigzag_quiver(3), D4])
@@ -150,10 +151,24 @@ def test_fold_positions_leave_no_ext(quiver):
 
 def test_fold_positions_reject_an_order_with_ext():
     # on 1 -> 2, Ext^1(S1, S2) != 0, so S1 may not come before S2
-    cat = Catalog(linear_quiver(2), PrimeField(2))
-    cat._order = cat._topological_order()[::-1]
-    with pytest.raises(CatalogError, match="Ext"):
-        cat.fold_positions()
+    q = linear_quiver(2)
+    labels, _, _, _, hom, order = catalog._integer_models(q)
+    assert [labels[a].name for a in order] == ["U(2,2)", "U(1,2)", "U(1,1)"]
+    catalog._check_order(q, labels, hom, order)
+    with pytest.raises(CatalogError, match=r"Ext\^1\(U\(1,1\), U\(2,2\)\) != 0"):
+        catalog._check_order(q, labels, hom, order[::-1])
+    # and Hom may not point backward: a made-up Hom(S1, S2) != 0
+    backward = hom.copy()
+    backward[order[2], order[0]] = 1
+    with pytest.raises(CatalogError, match=r"Hom\(U\(1,1\), U\(2,2\)\) != 0"):
+        catalog._check_order(q, labels, backward, order)
+
+
+def test_hom_matrix_is_shared_and_read_only():
+    h = get_catalog(D4, 2).hom_matrix()
+    assert get_catalog(D4, 3).hom_matrix() is h
+    with pytest.raises(ValueError, match="read-only"):
+        h[0, 0] = 2
 
 
 
@@ -229,7 +244,7 @@ def test_models_equal_a_reflection_build_at_each_prime():
         for p in (2, 3, 5, 7, 11, LIFT_PRIME):
             _assert_models_equal(q, p)
         # the module docstring's claim on the integer models
-        entries = {int(x) for m in catalog._integer_models(q)[2] for a in m for x in a.flat}
+        entries = {int(x) for m in catalog._integer_models(q)[1] for a in m for x in a.flat}
         assert entries <= {-1, 0, 1}, q
 
 
@@ -242,7 +257,7 @@ def test_fixture_models_equal_a_reflection_build_at_every_prime():
 def test_a_model_that_splits_mod_p_is_refused(monkeypatch):
     # V(0,1,0,1) on D4 into the center is 0 -> F -> 0 with arrow 4 -> 2 the
     # identity; with that map doubled it splits into two simples mod 2 only
-    labels, models, maps, ends, unknowns = catalog._integer_models(D4)
+    labels, maps, ends, unknowns, hom, order = catalog._integer_models(D4)
     which = [lab.name for lab in labels].index("V(0,1,0,1)")
     doubled = tuple(2 * a for a in maps[which])
     assert doubled[2].tolist() == [[2]]  # arrow 4 -> 2
@@ -250,7 +265,7 @@ def test_a_model_that_splits_mod_p_is_refused(monkeypatch):
     system = reps._hom_system(x, x)
     ends = ends.copy()
     ends[which, : system.shape[0], : system.shape[1]] = system
-    patched = (labels, models, maps[:which] + (doubled,) + maps[which + 1:], ends, unknowns)
+    patched = (labels, maps[:which] + (doubled,) + maps[which + 1:], ends, unknowns, hom, order)
     monkeypatch.setattr(catalog, "_integer_models", lambda q: patched)
     with pytest.raises(CatalogError, match=r"V\(0,1,0,1\) is not a brick at p=2"):
         Catalog(D4, PrimeField(2))

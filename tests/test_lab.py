@@ -69,17 +69,24 @@ QUIVER_A2 = "[quiver]\ntext = vertices: 1 2; arrow: 1 -> 2\n"
 PRINCIPAL_A2 = "[principal]\nproj = 1 1\ninj = 1 1\n"
 
 
-@pytest.mark.parametrize("text", [
-    QUIVER_A2 + PRINCIPAL_A2 + "[Compute]\nmax_prime = 7\n",  # sections are case sensitive
-    QUIVER_A2 + PRINCIPAL_A2 + "[extra]\nx = 1\n",
-    QUIVER_A2 + PRINCIPAL_A2 + "prj = 1 0\n",
-    QUIVER_A2 + "files = q.txt\n" + PRINCIPAL_A2,
-], ids=["Compute", "extra", "prj", "files"])
-def test_config_rejects_unknown_section_or_key(tmp_path, text):
+@pytest.mark.parametrize("text, match", [
+    # sections are case sensitive
+    (QUIVER_A2 + PRINCIPAL_A2 + "[Compute]\nmax_prime = 7\n", r"unknown section \[Compute\]"),
+    (QUIVER_A2 + PRINCIPAL_A2 + "[extra]\nx = 1\n", r"unknown section \[extra\]"),
+    (QUIVER_A2 + PRINCIPAL_A2 + "prj = 1 0\n", r"unknown \[principal\] key 'prj'"),
+    (QUIVER_A2 + "files = q.txt\n" + PRINCIPAL_A2, r"unknown \[quiver\] key 'files'"),
+    (QUIVER_A2, r"No section: 'principal'"),
+    (QUIVER_A2 + "[principal]\nproj = 1 1\n", r"No option 'inj' in section: 'principal'"),
+    (QUIVER_A2 + "[principal]\nproj = 1 x\ninj = 1 1\n", r"proj = '1 x' .* not an integer"),
+    (QUIVER_A2 + PRINCIPAL_A2 + "[compute]\nmax_nodes = lots\n",
+     r"max_nodes = 'lots' .* not an integer"),
+], ids=["Compute", "extra", "prj", "files", "no-principal", "no-inj", "proj-x", "lots"])
+def test_config_rejects_unknown_section_or_key(tmp_path, text, match):
     cfile = tmp_path / "run.cfg"
     cfile.write_text(text)
-    with pytest.raises(LabError, match="unknown"):
+    with pytest.raises(LabError, match=match) as err:
         PrincipalConfig.from_file(str(cfile))
+    assert str(cfile) in str(err.value)
 
 
 def test_config_quiver_file_relative_to_config(tmp_path, monkeypatch):
