@@ -386,7 +386,10 @@ class Catalog:
             term = term.strip()
             if "*" in term:
                 mult_s, _, name = term.partition("*")
-                mult = int(mult_s.strip())
+                try:
+                    mult = int(mult_s.strip())
+                except ValueError:
+                    raise CatalogError(f"multiplicity of {term!r} is not an integer") from None
             else:
                 mult, name = 1, term
             counts[self.label_by_name(name.strip())] += mult

@@ -143,9 +143,14 @@ def main(argv=None) -> int:
     cat = cfg.catalog
 
     def pick_isoclass(text: str):
-        if text:
-            return cat.parse_isoclass(text)
-        return cfg.generic()
+        if not text:
+            return cfg.generic()
+        iso = cat.parse_isoclass(text)
+        dims = iso.dims(cfg.quiver.n)
+        if dims != cfg.d:
+            raise SystemExit(f"isoclass {iso} has dimension vector {list(dims)}, "
+                             f"not the configuration's d = {list(cfg.d)}")
+        return iso
 
     if args.verb == "poset":
         if args.dot:

@@ -5,8 +5,8 @@ ring's own (vertex-major, colex within a vertex) with the first variable
 largest.  Inside Buchberger a monomial is one Python int (``_Packing``):
 integer order is grevlex, a product by a monomial is an addition,
 divisibility is a subtraction and a guard-mask test, and an lcm is a mask
-select.  Exponent tuples (``GPoly``) appear only where polynomials enter and
-leave.
+select.  Generators enter packed straight from their variable-index
+monomials, and exponent tuples (``GPoly``) appear only where the basis leaves.
 Hilbert function values count standard monomials (Macaulay's theorem) block
 by block, without listing the candidate monomials.  The work is kept per
 basis, not per multidegree: the tables of one block layout and one tuple of
@@ -36,24 +36,14 @@ DEFAULT_PAIR_BUDGET = 200_000
 HILBERT_BUDGET = 2_000_000  # candidate monomials of one multidegree
 
 
-def _grevlex_key(mono: tuple[int, ...]):
-    # first listed variable is largest; standard grevlex tie-break
-    return (sum(mono), tuple(-x for x in reversed(mono)))
-
-
 class GPoly:
-    """Polynomial with F_p coefficients on dense exponent-tuple monomials.
-
-    Coefficients are Python ints reduced inline: a call per term would cost."""
+    """A basis element: {exponent tuple: F_p coefficient} and its leading
+    exponent tuple."""
 
     __slots__ = ("coeffs", "lead")
 
-    def __init__(self, coeffs: dict, p: int):
-        self.coeffs = {m: c % p for m, c in coeffs.items() if c % p}
-        self.lead = max(self.coeffs, key=_grevlex_key) if self.coeffs else None
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    def __init__(self, coeffs: dict, lead: tuple):
+        self.coeffs, self.lead = coeffs, lead
 
 
 class _Packing:
@@ -104,25 +94,15 @@ class _Packing:
         return lead, [(k, -c * inv % p) for k, c in terms.items() if k != lead]
 
     def gpoly(self, terms: dict) -> GPoly:
-        """The GPoly of reduced nonzero {key: coefficient} terms."""
-        g = GPoly.__new__(GPoly)  # the lead is the largest key: no grevlex sort
-        g.coeffs = {self.unpack(k): c for k, c in terms.items()}
-        g.lead = self.unpack(max(terms)) if terms else None
-        return g
+        """The GPoly of reduced nonzero {key: coefficient} terms; the lead is
+        the largest key."""
+        return GPoly({self.unpack(k): c for k, c in terms.items()}, self.unpack(max(terms)))
 
     def widen(self, cap: int, basis: list) -> tuple["_Packing", list]:
         """A packing for degree <= cap and the basis moved into it."""
         wide = _Packing(self.n, cap)
         return wide, [(wide.pack(self.unpack(lead)),
                        [(wide.pack(self.unpack(k)), c) for k, c in tail]) for lead, tail in basis]
-
-
-def _packed(polys: list[GPoly], field: PrimeField, degree: int = 0) -> tuple:
-    """A packing that holds the polys (one at least nonzero) and the monic
-    packed forms of the nonzero ones."""
-    polys = [g for g in polys if g]
-    pk = _Packing(len(polys[0].lead), max([degree] + [sum(g.lead) for g in polys]))
-    return pk, [pk.monic({pk.pack(m): c for m, c in g.coeffs.items()}, field) for g in polys]
 
 
 def _reduce(terms: dict, basis: list, p: int, guard: int) -> dict:
@@ -155,42 +135,25 @@ def _reduce(terms: dict, basis: list, p: int, guard: int) -> dict:
     return remainder
 
 
-def normal_form(f: GPoly, basis: list[GPoly], field: PrimeField) -> GPoly:
-    """Remainder of f on division by the basis (monomial order above)."""
-    if not f:
-        return GPoly({}, field.p)
-    pk, packed = _packed([f] + basis, field)
-    return pk.gpoly(_reduce({pk.pack(m): c for m, c in f.coeffs.items()}, packed[1:],
-                            field.p, pk.guard))
-
-
-def buchberger(gens: list[GPoly], field: PrimeField, *, max_degree: int | None = None,
-               pair_budget: int = DEFAULT_PAIR_BUDGET) -> list[GPoly]:
-    """A reduced Gröbner basis; with ``max_degree`` set, a degree-truncated
-    basis whose leading terms are correct in all total degrees <= max_degree.
-
-    S-pairs are processed in increasing lcm degree so truncation is sound.
-    Raises GroebnerError when the pair budget is exhausted.
-    """
-    if not any(gens):
-        return []
-    pk, basis = _packed(gens, field, max_degree or 0)
-    return _buchberger(pk, basis, field, max_degree, pair_budget)
-
-
 def _buchberger(pk: _Packing, basis: list, field: PrimeField,
-                max_degree: int | None, pair_budget: int) -> list[GPoly]:
-    """``buchberger`` on a monic packed basis [(lead, tail)] held by ``pk``;
-    an untruncated run re-packs wider when a pair outgrows it."""
+                max_degree: int | None) -> list[GPoly]:
+    """The reduced Gröbner basis of a monic packed basis [(lead, tail)] held
+    by ``pk``; with ``max_degree`` set, a degree-truncated basis whose leading
+    terms are correct in all total degrees <= max_degree.
+
+    S-pairs are processed in increasing lcm degree so truncation is sound;
+    an untruncated run re-packs wider when a pair outgrows ``pk``.  Raises
+    GroebnerError when DEFAULT_PAIR_BUDGET pairs did not suffice.
+    """
     p = field.p
     heap = [(pk.lcm(basis[i][0], basis[j][0]) >> pk.nb, i, j)
             for i in range(len(basis)) for j in range(i)]
     heapq.heapify(heap)
     processed = 0
     while heap:
-        if processed >= pair_budget:
+        if processed >= DEFAULT_PAIR_BUDGET:
             raise GroebnerError(
-                f"S-pair budget {pair_budget} exhausted: {processed} processed, "
+                f"S-pair budget {DEFAULT_PAIR_BUDGET} exhausted: {processed} processed, "
                 f"{len(heap)} pending, {len(basis)} basis elements")
         processed += 1
         deg, i, j = heapq.heappop(heap)
@@ -216,13 +179,9 @@ def _buchberger(pk: _Packing, basis: list, field: PrimeField,
     return _interreduce(pk, basis, p)
 
 
-def interreduce(basis: list[GPoly], field: PrimeField) -> list[GPoly]:
-    """Monic, mutually reduced basis (unique for a fixed monomial order)."""
-    return _interreduce(*_packed(basis, field), field.p) if any(basis) else []
-
-
 def _interreduce(pk: _Packing, basis: list, p: int) -> list[GPoly]:
-    """``interreduce`` on a monic packed basis [(lead, tail)] held by ``pk``."""
+    """The monic, mutually reduced basis (unique for a fixed monomial order)
+    of a monic packed basis [(lead, tail)] held by ``pk``."""
     kept: list = []
     for g in sorted(basis, key=lambda g: g[0]):  # drop redundant leading terms
         if not any(not (h[0] - g[0]) & pk.guard for h in kept):
@@ -238,8 +197,9 @@ def _interreduce(pk: _Packing, basis: list, p: int) -> list[GPoly]:
 
 def groebner_basis(ring: PlueckerRing, gens: list[MPoly], p: int, *,
                    max_degree: int | None = None) -> list[GPoly]:
-    """``buchberger`` on the Plücker generators, packed straight from their
-    sorted variable-index monomials."""
+    """The reduced Gröbner basis of the Plücker generators over F_p (see
+    ``_buchberger`` for ``max_degree``), packed straight from their sorted
+    variable-index monomials."""
     pk = _Packing(len(ring), max([max_degree or 0] + [len(m) for g in gens for m in g.coeffs]))
     field, basis = PrimeField(p), []
     for g in gens:
@@ -247,7 +207,7 @@ def groebner_basis(ring: PlueckerRing, gens: list[MPoly], p: int, *,
                  for m, c in g.coeffs.items() if c % p}
         if terms:
             basis.append(pk.monic(terms, field))
-    return _buchberger(pk, basis, field, max_degree, DEFAULT_PAIR_BUDGET) if basis else []
+    return _buchberger(pk, basis, field, max_degree) if basis else []
 
 
 # -- invariants of the leading-term ideal -----------------------------------
@@ -311,24 +271,16 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
 
 @functools.lru_cache(maxsize=1024)
 def _checked(quiver: Quiver, blocks: tuple, m: tuple, budget: int) -> tuple:
-    """m as a checked dimension vector within the budget; an error is not
-    cached, so it is raised again on every call."""
+    """m as a checked dimension vector whose prod_i C(k_i + m_i - 1, m_i)
+    candidate monomials (k_i variables in block i) are within the budget; an
+    error is not cached, so it is raised again on every call."""
     m = quiver.check_dimvector(m)
-    _check_budget(blocks, m, budget)
-    return m
-
-
-def _candidates(blocks: tuple, m: tuple) -> int:
-    """prod_i C(k_i + m_i - 1, m_i): the multidegree-m monomials."""
-    return math.prod(math.comb(hi - lo + deg - 1, deg) for (lo, hi), deg in zip(blocks, m))
-
-
-def _check_budget(blocks: tuple, m: tuple, budget: int) -> None:
-    total = _candidates(blocks, m)
+    total = math.prod(math.comb(hi - lo + deg - 1, deg) for (lo, hi), deg in zip(blocks, m))
     if total > budget:
         raise GroebnerError(
             f"{total} candidate monomials of multidegree {list(m)} "
             f"exceed the budget {budget}")
+    return m
 
 
 @functools.lru_cache(maxsize=None)
@@ -450,21 +402,9 @@ def _lead_tables(blocks: tuple, leads: tuple) -> _LeadTables:
 def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees) -> list[dict]:
     """Entries {"m": [...], "dim": N} for each requested multidegree.
 
-    The list is validated as a whole: its entrywise minimum and maximum are
-    checked as dimension vectors, and the maximum's candidate count bounds
-    every entry's, since C(k + d - 1, d) grows with d.  Only a maximum over
-    the budget sends the entries through the budget check one by one, so
-    the error names the first multidegree over it."""
-    q = ring.quiver
-    degrees = [tuple(map(int, m)) for m in degrees]
-    for m in degrees:
-        if len(m) != q.n:
-            q.check_dimvector(m)
-    if degrees:
-        q.check_dimvector(map(min, zip(*degrees)))
-        if _candidates(ring.block, tuple(map(max, zip(*degrees)))) > HILBERT_BUDGET:
-            for m in degrees:
-                _check_budget(ring.block, m, HILBERT_BUDGET)
+    Every multidegree is checked, as in ``hilbert_component``, before any
+    basis or table is built, so an error names the first bad entry."""
+    degrees = [_checked(ring.quiver, ring.block, tuple(m), HILBERT_BUDGET) for m in degrees]
     max_total = max((sum(m) for m in degrees), default=0)
     basis = groebner_basis(ring, gens, p, max_degree=max_total)
     tables = _lead_tables(ring.block, tuple([g.lead for g in basis]))

@@ -98,11 +98,7 @@ class SubspaceEnum:
             chunks.append(block)
             self.blocks.append((pos, pos + count, pivots))
             pos += count
-        self.bases = (
-            np.concatenate(chunks, axis=0) if chunks else np.zeros((1, 0, d), dtype=field.dtype)
-        )
-        if not chunks:
-            self.blocks = [(0, 1, ())]
+        self.bases = np.concatenate(chunks, axis=0)
         assert self.bases.shape[0] == self.size
 
 
@@ -233,7 +229,7 @@ def count_points(m: Representation, e, p: int, *,
     e = q.check_dimvector(e)
     for i in range(q.n):
         if e[i] > m.dims[i]:
-            raise CountError(f"e_{i} exceeds d_{i}")
+            raise CountError(f"e = {e[i]} exceeds d = {m.dims[i]} at vertex {q.name(i)}")
     f = _field_of(m, p)
     gauss = _gauss_table(p, max(m.dims, default=0))
     adj = q.neighbors()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ def test_parse_rejects_unknown_label():
     cat = get_catalog(linear_quiver(2))
     with pytest.raises(CatalogError):
         cat.parse_isoclass("U(1,5)")
+
+
+def test_parse_rejects_a_multiplicity_that_is_not_an_integer():
+    cat = get_catalog(linear_quiver(2))
+    for text in ("x*U(1,1)", "U(1,2) + 1.5*U(2,2)"):
+        term = text.split("+")[-1].strip()
+        with pytest.raises(CatalogError, match=re.escape(repr(term))):
+            cat.parse_isoclass(text)
 
 
 def test_special_labels():

@@ -94,9 +94,22 @@ def test_removed_flags_rejected(arrow_file, flag):
 def test_classify_named_isoclass(capsys, arrow_file):
     out = run(capsys, "classify", "--quiver", arrow_file,
               "--proj", "1,1", "--inj", "1,1",
-              "--isoclass", "2*U(1,1) + U(1,2) + U(2,2)")
+              "--isoclass", "2*U(1,1) + U(1,2) + 2*U(2,2)")
     data = json.loads(out)
-    assert data["dim"] == 2  # P^1 x P^1 worth of choices at the two ends
+    # M_a: k^3 -> k^3 of rank 1 and e = (1, 2): a line L off the kernel and
+    # a plane through M_a(L), or L in the kernel and any plane; both 3-dim
+    assert (data["dim"], data["top_components"]) == (3, 2)
+
+
+@pytest.mark.parametrize("verb", ["relations", "hilbert", "count", "classify"])
+def test_isoclass_of_another_dimension_vector_is_refused(zigzag_file, verb):
+    # 2*U(1,3) + U(2,2) has dimension vector (2, 3, 2); d is (3, 4, 3)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--quiver", zigzag_file, "--proj", "1,1,1", "--inj", "1,1,1",
+              "--isoclass", "2*U(1,3) + U(2,2)"])
+    message = str(exc.value.code)
+    assert "\n" not in message
+    assert "[2, 3, 2]" in message and "[3, 4, 3]" in message
 
 
 def test_relations_verb(capsys, zigzag_file):

@@ -3,6 +3,7 @@ import itertools
 import operator
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,30 +12,49 @@ from hypothesis import given, settings, strategies as st
 from quivergrass import groebner, pointcount
 from quivergrass.groebner import (
     GPoly,
-    _grevlex_key,
     GroebnerError,
-    buchberger,
     groebner_basis,
     hilbert_component,
     hilbert_table,
-    interreduce,
     krull_dimension,
-    normal_form,
     projective_dimension,
 )
 from quivergrass.linalg import PrimeField
 from quivergrass.lab import PrincipalConfig
-from quivergrass.pluecker import PlueckerRing, ideal
+from quivergrass.pluecker import MPoly, PlueckerRing, ideal
 from quivergrass.quiver import Quiver, QuiverError, linear_quiver, zigzag_quiver
 from quivergrass.reps import Representation
 
 
+def _grevlex_key(mono: tuple[int, ...]):
+    # first listed variable is largest; standard grevlex tie-break
+    return (sum(mono), tuple(-x for x in reversed(mono)))
+
+
 def gp(coeffs, p=107):
-    return GPoly(dict(coeffs), p)
+    """The polynomial on exponent tuples with coefficients reduced mod p and
+    its grevlex lead (None when it is zero)."""
+    coeffs = {m: c % p for m, c in dict(coeffs).items() if c % p}
+    return GPoly(coeffs, max(coeffs, key=_grevlex_key) if coeffs else None)
 
 
 def single_vertex_ring(d, e):
     return PlueckerRing(Quiver([1], []), (d,), (e,))
+
+
+def tuple_basis(gens, p, nvars=None, *, max_degree=None,
+                pair_budget=groebner.DEFAULT_PAIR_BUDGET):
+    """``groebner_basis`` on exponent-tuple generators: on Gr(1, n) the n
+    Pluecker variables are the polynomial ring's, and a monomial is its
+    sorted variable indices.  ``pair_budget`` replaces the module's S-pair
+    budget for the call."""
+    if nvars is None:
+        nvars = len(next(m for g in gens for m in g.coeffs))
+    ring = single_vertex_ring(nvars, 1)
+    mpolys = [MPoly(ring, {tuple(i for i, x in enumerate(m) for _ in range(x)): c
+                           for m, c in g.coeffs.items()}) for g in gens]
+    with mock.patch.object(groebner, "DEFAULT_PAIR_BUDGET", pair_budget):
+        return groebner_basis(ring, mpolys, p, max_degree=max_degree)
 
 
 def brute_hilbert(ring, basis, m):
@@ -89,15 +109,9 @@ def test_normal_form_reduces_members_to_zero():
     p = 7
     g1 = gp({(2, 0): 1, (0, 1): p - 1}, p)
     g2 = gp({(0, 2): 1, (1, 0): p - 1}, p)
-    f = PrimeField(p)
-    basis = interreduce(buchberger([g1, g2], f), f)
+    basis = tuple_basis([g1, g2], p)
     member = gp({(4, 0): 1, (1, 0): p - 1}, p)  # x^4 - x = (x^2+y)(x^2-y) + (y^2-x)
-    assert not normal_form(member, basis, f)
-
-
-def test_normal_form_of_zero():
-    p = 5
-    assert not normal_form(gp({}, p), [gp({(1,): 1}, p)], PrimeField(p))
+    assert not reference_normal_form(member, basis, PrimeField(p)).coeffs
 
 
 def test_groebner_reduced_basis_unique_under_shuffle():
@@ -131,12 +145,11 @@ def test_sq_polynomial_criterion():
         gp({mono(y=1, w=1): 1, mono(z=2): p - 1}, p),
         gp({mono(x=1, w=1): 1, mono(y=1, z=1): p - 1}, p),
     ]
-    f = PrimeField(p)
-    basis = interreduce(buchberger(gens, f), f)
+    basis = tuple_basis(gens, p)
     # the cone over the twisted cubic has Krull dimension 2
     assert krull_dimension(basis, 4) == 2
     for g in gens:
-        assert not normal_form(g, basis, f)
+        assert not reference_normal_form(g, basis, PrimeField(p)).coeffs
 
 
 def test_krull_dimension_monomial_cases():
@@ -371,13 +384,13 @@ def test_pair_budget_enforced():
         gp({(1, 0, 0, 1): 1, (0, 1, 1, 0): p - 1}, p),
     ]
     with pytest.raises(GroebnerError):
-        buchberger(gens, PrimeField(p), pair_budget=0)
+        tuple_basis(gens, p, pair_budget=0)
     # the error names the budget, the pairs processed and pending, and the
     # basis length (every S-pair of this basis reduces to zero)
     with pytest.raises(GroebnerError,
                        match=r"budget 1\b.*\b1 processed, 2 pending, 3 basis elements"):
-        buchberger(gens, PrimeField(p), pair_budget=1)
-    assert len(buchberger(gens, PrimeField(p), pair_budget=3)) == 3
+        tuple_basis(gens, p, pair_budget=1)
+    assert len(tuple_basis(gens, p, pair_budget=3)) == 3
 
 
 # -- the tuple Buchberger as an oracle for the packed one ---------------------
@@ -424,14 +437,14 @@ def reference_normal_form(f, basis, field):
         else:
             remainder[m] = c
             del work[m]
-    return GPoly(remainder, p)
+    return gp(remainder, p)
 
 
 def reference_buchberger(gens, field, *, max_degree=None, pair_budget=200_000):
     """Buchberger on exponent tuples with the packed one's pair order (lcm
     degree, then index), interreduced the same way."""
     p = field.p
-    basis = [g for g in gens if g]
+    basis = [g for g in gens if g.coeffs]
     heap = [(sum(_ref_lcm(basis[i].lead, basis[j].lead)), i, j)
             for i in range(len(basis)) for j in range(i)]
     heapq.heapify(heap)
@@ -456,8 +469,8 @@ def reference_buchberger(gens, field, *, max_degree=None, pair_budget=200_000):
         for m, c in gj.coeffs.items():
             key = _ref_mul(m, _ref_div(lcm, gj.lead))
             s[key] = (s.get(key, 0) - c * cj) % p
-        rem = reference_normal_form(GPoly(s, p), basis, field)
-        if rem:
+        rem = reference_normal_form(gp(s, p), basis, field)
+        if rem.coeffs:
             k = len(basis)
             basis.append(rem)
             for t in range(k):
@@ -469,9 +482,9 @@ def reference_buchberger(gens, field, *, max_degree=None, pair_budget=200_000):
     out = []
     for i, g in enumerate(kept):
         r = reference_normal_form(g, kept[:i] + kept[i + 1:], field)
-        if r:
+        if r.coeffs:
             inv = field.inv_scalar(r.coeffs[r.lead])
-            out.append(GPoly({m: c * inv for m, c in r.coeffs.items()}, p))
+            out.append(gp({m: c * inv for m, c in r.coeffs.items()}, p))
     out.sort(key=lambda g: _grevlex_key(g.lead))
     return out
 
@@ -480,10 +493,11 @@ def terms_of(basis):
     return [(g.lead, g.coeffs) for g in basis]
 
 
-def outcome(run, gens, field, **kw):
-    """The basis as (lead, coefficients) pairs, or "budget" when it runs out."""
+def outcome(run):
+    """The basis ``run()`` returns as (lead, coefficients) pairs, or "budget"
+    when it runs out."""
     try:
-        return terms_of(run(gens, field, **kw))
+        return terms_of(run())
     except GroebnerError:
         return "budget"
 
@@ -502,19 +516,19 @@ def homogeneous_ideals(draw):
             for i in idx:
                 exps[i] += 1
             terms[tuple(exps)] = draw(st.integers(1, 300))
-        gens.append(GPoly(terms, p))
+        gens.append(gp(terms, p))
     max_degree = draw(st.sampled_from([None, 2, 3, 4, 5, 6]))
-    return gens, PrimeField(p), max_degree
+    return nvars, gens, PrimeField(p), max_degree
 
 
 @settings(max_examples=150, deadline=None)
 @given(homogeneous_ideals())
 def test_packed_buchberger_equals_tuple_oracle(case):
-    gens, field, max_degree = case
+    nvars, gens, field, max_degree = case
     # same pair order, so a budget runs out on both sides or on neither
     kw = dict(max_degree=max_degree, pair_budget=300)
-    assert outcome(buchberger, gens, field, **kw) == \
-        outcome(reference_buchberger, gens, field, **kw)
+    assert outcome(lambda: tuple_basis(gens, field.p, nvars, **kw)) == \
+        outcome(lambda: reference_buchberger(gens, field, **kw))
 
 
 @pytest.mark.parametrize("scope, max_degree", [("arrows", 8), ("arrows", 4), ("paths", 4)])
@@ -531,7 +545,7 @@ def test_groebner_basis_equals_tuple_oracle_on_d4_subspace_ideals(scope, max_deg
             for mono, c in g.coeffs.items():
                 exps = tuple(mono.count(i) for i in range(len(ring)))
                 coeffs[exps] = coeffs.get(exps, 0) + c
-            tuples.append(GPoly(coeffs, p))
+            tuples.append(gp(coeffs, p))
         expected = reference_buchberger(tuples, PrimeField(p), max_degree=max_degree)
         assert terms_of(groebner_basis(ring, gens, p, max_degree=max_degree)) == \
             terms_of(expected)
@@ -564,7 +578,7 @@ def test_untruncated_basis_outgrowing_one_byte_fields_is_exact():
     p = 101
     gens = [gp({(64, 1, 0): 1, (0, 0, 65): p - 1}, p),
             gp({(1, 64, 0): 1, (0, 0, 65): p - 1}, p)]
-    basis = buchberger(gens, PrimeField(p))
+    basis = tuple_basis(gens, p)
     assert max(sum(g.lead) for g in basis) == 192
     assert terms_of(basis) == terms_of(reference_buchberger(gens, PrimeField(p)))
 
@@ -572,5 +586,6 @@ def test_untruncated_basis_outgrowing_one_byte_fields_is_exact():
 def test_degree_beyond_the_widest_fields_is_a_typed_error():
     p = 7
     degree = 1 << 63
+    # no tuple of 2 ** 63 indices exists: the truncation degree asks for it
     with pytest.raises(GroebnerError, match=str(degree)):
-        buchberger([gp({(degree,): 1}, p)], PrimeField(p))
+        tuple_basis([gp({(1,): 1}, p)], p, max_degree=degree)

@@ -38,6 +38,10 @@ def test_subspace_enum_counts():
             for e in range(d + 1):
                 en = enumerate_subspaces(e, d, PrimeField(p))
                 assert en.bases.shape[0] == gaussian_binomial(d, e, p)
+            # the zero subspace is one block with no pivots and an empty basis
+            en = enumerate_subspaces(0, d, PrimeField(p))
+            assert en.blocks == [(0, 1, ())]
+            assert en.bases.shape == (1, 0, d)
 
 
 def test_subspace_enum_bases_are_rref():
@@ -154,6 +158,10 @@ def test_count_rejects_bad_subdimension():
     m = Representation(q, f, (1, 1), [f.eye(1)])
     with pytest.raises(CountError):
         count_points(m, (2, 0), 2)
+    # the error names the external vertex: vertex 2 of zigzag A3 is index 1
+    m = Representation(zigzag_quiver(3), f, (1, 1, 1), [f.zeros(1, 1), f.zeros(1, 1)])
+    with pytest.raises(CountError, match=r"^e = 2 exceeds d = 1 at vertex 2$"):
+        count_points(m, (0, 2, 0), 2)
 
 
 def test_count_rejects_prime_of_another_field():
