@@ -390,6 +390,8 @@ class Catalog:
                     mult = int(mult_s.strip())
                 except ValueError:
                     raise CatalogError(f"multiplicity of {term!r} is not an integer") from None
+                if mult < 0:
+                    raise CatalogError(f"multiplicity of {term!r} is negative")
             else:
                 mult, name = 1, term
             counts[self.label_by_name(name.strip())] += mult

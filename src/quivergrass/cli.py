@@ -166,6 +166,8 @@ def main(argv=None) -> int:
         else:
             _write(args, "ideal.txt", export_text(gens))
     elif args.verb == "hilbert":
+        if args.max_multidegree < 0:
+            raise SystemExit(f"--max-multidegree must be >= 0, got {args.max_multidegree}")
         iso = pick_isoclass(args.isoclass)
         m = cat.realize(iso)
         ring, gens = ideal(m, cfg.e)

@@ -160,52 +160,6 @@ def _gauss_table(p: int, nmax: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class _Coded:
-    """A per-subspace weight function with few distinct (big-int) values.
-
-    ``codes`` maps each subspace index to an entry of ``values``; keeping
-    big integers out of the bulk arrays makes the final reduction cheap.
-    """
-
-    __slots__ = ("codes", "values")
-
-    def __init__(self, codes: np.ndarray, values: list):
-        self.codes = codes
-        self.values = values
-
-    def to_object(self) -> np.ndarray:
-        table = np.empty(len(self.values), dtype=object)
-        table[:] = self.values
-        return table[self.codes]
-
-    @staticmethod
-    def combine_and_sum(msgs: list["_Coded"]) -> int:
-        """Sum over subspaces of the product of the message values."""
-        code = np.zeros_like(msgs[0].codes)
-        radix = 1
-        for m in msgs:
-            code = code + radix * m.codes
-            radix *= len(m.values)
-        uniq, counts = np.unique(code, return_counts=True)
-        total = 0
-        for u, c in zip(uniq.tolist(), counts.tolist()):
-            val = 1
-            rest = u
-            for m in msgs:
-                rest, digit = divmod(rest, len(m.values))
-                val *= m.values[digit]
-            total += int(c) * val
-        return total
-
-    @staticmethod
-    def combine_to_object(msgs: list) -> np.ndarray:
-        out = None
-        for m in msgs:
-            arr = m.to_object() if isinstance(m, _Coded) else m
-            out = arr if out is None else out * arr
-        return out
-
-
 def _field_of(m: Representation, p: int) -> PrimeField:
     """The field of ``m``, which must be F_p."""
     if p != m.field.p:
@@ -220,8 +174,9 @@ def count_points(m: Representation, e, p: int, *,
 
     ``p`` must be the prime of ``m.field``.  A root with e_v = 1 or
     e_v = d_v - 1 (0 < e_v < d_v) whose neighbours are all leaves is summed
-    in closed form by ``_point_root_sum``; any other root runs the leaf
-    messages and pair messages of the DP.  The point root's ranks add over
+    in closed form by ``_point_root_sum``; any other root runs the tree DP,
+    whose every message is an object array of Python ints, one entry per
+    subspace of the receiving vertex.  The point root's ranks add over
     direct summands: a recorded ``isoclass`` sums its catalog summands'
     cached tables, any other module is its own single summand.
     ``enum_budget`` bounds only the enumerations built; a point root has none."""
@@ -247,14 +202,15 @@ def count_points(m: Representation, e, p: int, *,
             return [gauss[n][ec] for n in range(dc + 1)]
         return [gauss[dc - r][ec - r] if r <= ec else 0 for r in range(min(e[v], dc) + 1)]
 
-    def closed_message(child: int, v: int) -> _Coded:
+    def closed_message(child: int, v: int) -> np.ndarray:
         """Message of an unweighted leaf ``child`` into ``v``, per U_v."""
         a = q.edge_arrow[child, v]
         ev = enum(v)
+        values = np.array(leaf_values(child, v), dtype=object)
         if q.source(a) == child:  # arrow child -> v, map A: M_child -> M_v
             # dim of the preimage of U under A, then count subspaces inside
             dim_sum = _sum_dims_with_fixed(ev, m.maps[a].T[None], f)[0]
-            return _Coded(m.dims[child] - dim_sum + e[v], leaf_values(child, v))
+            return values[m.dims[child] - dim_sum + e[v]]
         # arrow v -> child, map B: M_v -> M_c: count U_c containing B(U_v)
         B = m.maps[a]
         r = np.empty(ev.size, dtype=np.int64)
@@ -262,7 +218,7 @@ def count_points(m: Representation, e, p: int, *,
             hi = min(lo + _CHUNK, ev.size)
             bu = ev.bases[lo:hi].astype(np.int64)
             r[lo:hi] = f.batched_rank(np.einsum("nij,kj->nik", bu, B))  # reduces its input
-        return _Coded(r, leaf_values(child, v))
+        return values[r]
 
     def point_values(child: int, v: int, dim_y: int) -> tuple[int, int]:
         """The leaf message (g0, g1) at a point root v: it reads only
@@ -305,20 +261,13 @@ def count_points(m: Representation, e, p: int, *,
                 out[lo:lo + step] = inside @ w_child
         return out
 
-    def subtree(v: int, parent: int):
-        """Messages into v from its subtree: list of _Coded / object arrays,
-        or None when v is a leaf of the rooted tree."""
-        children = [w for w in adj[v] if w != parent]
-        if not children:
-            return None
-        msgs = []
-        for c in children:
-            below = subtree(c, v)
-            if below is None:
-                msgs.append(closed_message(c, v))
-            else:
-                msgs.append(pair_message(c, v, _Coded.combine_to_object(below)))
-        return msgs
+    def message(c: int, v: int) -> np.ndarray:
+        """Message of c into its parent v, per U_v: a leaf's closed message,
+        or the pair message of the product of c's own children's messages."""
+        below = [message(w, c) for w in adj[c] if w != v]
+        if not below:
+            return closed_message(c, v)
+        return pair_message(c, v, math.prod(below))
 
     dv = m.dims[root]
     if 0 < e[root] < dv and e[root] in (1, dv - 1) and all(len(adj[c]) == 1 for c in adj[root]):
@@ -332,12 +281,10 @@ def count_points(m: Representation, e, p: int, *,
         totals = (np.array(mults) @ np.array(tables)).tolist()
         gs = [point_values(c, root, dim_y) for c, dim_y in zip(adj[root], totals)]
         return _point_root_sum(p, dv, gs, totals[len(gs):])
-    msgs = subtree(root, -1)
-    if msgs is None:
+    msgs = [message(c, root) for c in adj[root]]
+    if not msgs:
         return int(gaussian_binomial(m.dims[root], e[root], p))
-    if all(isinstance(x, _Coded) for x in msgs):
-        return _Coded.combine_and_sum(msgs)
-    return int(sum(_Coded.combine_to_object(msgs)))
+    return int(math.prod(msgs).sum())
 
 
 def _point_ranks(m: Representation, root: int, line: bool) -> tuple[int, ...]:

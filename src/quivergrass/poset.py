@@ -34,7 +34,7 @@ def enumerate_isoclasses(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) 
     label's multiplicity from its largest value down, then the next label's.
     ``reach[idx]`` holds the vectors <= d that labels idx.. can sum to, so the
     search enters only remainders that some isoclass completes.  Raises
-    ``PosetError`` at the (budget + 1)-th isoclass.
+    ``PosetError`` at the (budget + 1)-th isoclass, at the first when budget < 1.
     """
     d = cat.quiver.check_dimvector(d)
     roots = [lab.dims for lab in cat.labels]
@@ -54,7 +54,7 @@ def enumerate_isoclasses(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) 
 
     def rec(idx: int, remaining: tuple[int, ...], picked: list[tuple]):
         if remaining == zero:
-            if len(out) == budget:
+            if len(out) >= budget:
                 raise PosetError(f"isoclass budget {budget} exceeded for d={d}")
             out.append(Isoclass(dict(picked)))
             return

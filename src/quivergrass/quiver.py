@@ -8,6 +8,7 @@ is indexed densely from 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -121,9 +122,7 @@ class Quiver:
         return _opposite(self)
 
     def check_dimvector(self, d: Sequence[int]) -> tuple[int, ...]:
-        d = tuple(int(x) for x in d)
-        if len(d) != self.n:
-            raise QuiverError(f"dimension vector of length {len(d)}, expected {self.n}")
+        d = self.check_dimvector_signed(d)
         if any(x < 0 for x in d):
             raise QuiverError("negative entry in dimension vector")
         return d
@@ -153,10 +152,19 @@ class Quiver:
         return val
 
     def check_dimvector_signed(self, d: Sequence[int]) -> tuple[int, ...]:
-        d = tuple(int(x) for x in d)
+        """``d`` as a tuple of n ints: numpy integers pass, and an entry that
+        is not an integer (a float, a string) is refused, not truncated."""
+        d = tuple(d)
         if len(d) != self.n:
-            raise QuiverError(f"vector of length {len(d)}, expected {self.n}")
-        return d
+            raise QuiverError(f"dimension vector of length {len(d)}, expected {self.n}")
+        out = []
+        for i, x in enumerate(d):
+            try:
+                out.append(operator.index(x))
+            except TypeError:
+                raise QuiverError(f"dimension vector entry {x!r} at vertex {self.name(i)} "
+                                  "is not an integer") from None
+        return tuple(out)
 
     def paths(self) -> list[Path]:
         """All directed paths of length >= 1, each exactly once.

@@ -107,6 +107,16 @@ def test_parse_rejects_a_multiplicity_that_is_not_an_integer():
             cat.parse_isoclass(text)
 
 
+def test_parse_rejects_a_negative_multiplicity_naming_its_term():
+    # each term is checked as it is read: a negative term cannot cancel
+    # against a later one
+    cat = get_catalog(linear_quiver(2))
+    for text in ("-1*U(1,1)", "-1*U(1,1) + 2*U(1,1)", "U(1,2) + -2*U(2,2)"):
+        term = next(t.strip() for t in text.split("+") if "-" in t)
+        with pytest.raises(CatalogError, match=re.escape(f"{term!r} is negative")):
+            cat.parse_isoclass(text)
+
+
 def test_special_labels():
     q = linear_quiver(3, ">>")
     cat = get_catalog(q)

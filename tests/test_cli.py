@@ -112,6 +112,14 @@ def test_isoclass_of_another_dimension_vector_is_refused(zigzag_file, verb):
     assert "[2, 3, 2]" in message and "[3, 4, 3]" in message
 
 
+def test_hilbert_refuses_a_negative_max_multidegree(capsys, arrow_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--quiver", arrow_file, "--proj", "1,1", "--inj", "1,1",
+              "--max-multidegree", "-1"])
+    assert exc.value.code == "--max-multidegree must be >= 0, got -1"
+    assert capsys.readouterr().out == ""
+
+
 def test_relations_verb(capsys, zigzag_file):
     out = run(capsys, "relations", "--quiver", zigzag_file,
               "--proj", "1,1,1", "--inj", "1,1,1")

@@ -303,6 +303,8 @@ def test_hilbert_table_validates_its_degree_list_before_any_table():
         hilbert_table(ring, [], 107, [(1, 1), (1, 1, 1)])
     with pytest.raises(QuiverError, match="negative"):
         hilbert_table(ring, [], 107, [(1, 1), (2, -1)])
+    with pytest.raises(QuiverError, match=r"1\.7 at vertex 1 is not an integer"):
+        hilbert_table(ring, [], 107, [(1, 1), (1.7, 1)])
     assert groebner._lead_tables.cache_info().misses == misses
     assert hilbert_table(ring, [], 107, [(2, 1), (1, 0)]) == [
         {"m": [2, 1], "dim": 12}, {"m": [1, 0], "dim": 3}]

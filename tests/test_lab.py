@@ -16,7 +16,7 @@ from quivergrass.lab import (
     split_at_deficient,
 )
 from quivergrass.pointcount import Classification, CountingPolynomial
-from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
+from quivergrass.quiver import Quiver, QuiverError, linear_quiver, zigzag_quiver
 from quivergrass.poset import build_poset
 
 REPO = Path(__file__).resolve().parent.parent
@@ -51,6 +51,15 @@ def test_config_from_file(tmp_path):
     assert cfg.quiver == zigzag_quiver(3)
     assert cfg.max_prime == 31
     assert cfg.d == (3, 4, 3)
+
+
+def test_config_refuses_multiplicities_that_are_not_integers():
+    # (1.9, 1) would otherwise run with P1 once
+    q = linear_quiver(2)
+    with pytest.raises(QuiverError, match=r"1\.9 at vertex 1 is not an integer"):
+        PrincipalConfig(q, (1.9, 1), (1, 1))
+    with pytest.raises(QuiverError, match=r"0\.5 at vertex 2"):
+        PrincipalConfig(q, (1, 1), (1, 0.5))
 
 
 @pytest.mark.parametrize("line", ["jobs = 2", "max_primes = 31"])

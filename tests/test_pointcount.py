@@ -57,13 +57,19 @@ def test_subspace_enum_bases_are_rref():
 
 
 def test_zero_map_counts_factor():
-    # 1 -> 2 with the zero map: subspaces are chosen independently
-    q = linear_quiver(2)
-    for p in (2, 3, 5):
-        f = PrimeField(p)
-        m = Representation(q, f, (3, 3), [f.zeros(3, 3)])
-        assert count_points(m, (1, 2), p) == \
-            gaussian_binomial(3, 1, p) * gaussian_binomial(3, 2, p)
+    # A2 with the zero map: subspaces are chosen independently.  In the
+    # (20, 4) cases the DP root is the Gr(2, 4) vertex, and the count
+    # Gr(10, 20) * Gr(2, 4) exceeds 2^63, in both orientations
+    for orientation, d, e, primes in [(">", (3, 3), (1, 2), (2, 3, 5)),
+                                      (">", (20, 4), (10, 2), (2,)),
+                                      ("<", (20, 4), (10, 2), (2,))]:
+        q = linear_quiver(2, orientation)
+        s, t = q.arrows[0]
+        for p in primes:
+            f = PrimeField(p)
+            m = Representation(q, f, d, [f.zeros(d[t], d[s])])
+            expected = gaussian_binomial(d[0], e[0], p) * gaussian_binomial(d[1], e[1], p)
+            assert count_points(m, e, p) == expected
 
 
 def test_identity_map_counts_containment():

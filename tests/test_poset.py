@@ -80,6 +80,9 @@ def test_budget_raises_at_the_isoclass_past_it(d):
     assert enumerate_isoclasses(cat, d, budget=len(nodes)) == nodes
     with pytest.raises(PosetError, match=re.escape(f"d={d}")):
         enumerate_isoclasses(cat, d, budget=len(nodes) - 1)
+    # a negative budget is no budget either: it refuses the first isoclass
+    with pytest.raises(PosetError, match=re.escape("budget -1 exceeded")):
+        enumerate_isoclasses(cat, d, budget=-1)
 
 
 def test_order_axioms_small():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,3 +112,15 @@ def test_check_dimvector():
         q.check_dimvector([1, 2])
     with pytest.raises(QuiverError):
         q.check_dimvector([1, -1, 0])
+    # numpy integers pass; a float is refused, never truncated
+    assert q.check_dimvector(np.array([1, 2, 3])) == (1, 2, 3)
+    assert all(type(x) is int for x in q.check_dimvector(np.array([1, 2, 3])))
+    assert q.euler_form(np.array([1, 0, -1]), (0, 1, 0)) == -1
+    with pytest.raises(QuiverError, match=r"1\.7 at vertex 2 is not an integer"):
+        q.check_dimvector([1, 1.7, 0])
+    with pytest.raises(QuiverError, match="'1' at vertex 1"):
+        q.check_dimvector(["1", 0, 0])
+    with pytest.raises(QuiverError, match=r"0\.5 at vertex 3"):
+        q.euler_form((1, 0, 0), (0, 0, 0.5))
+    with pytest.raises(QuiverError, match=r"-1\.0 at vertex 1"):
+        q.euler_form((-1.0, 0, 0), (0, 0, 1))
