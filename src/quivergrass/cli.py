@@ -17,8 +17,8 @@ import json
 import os
 import sys
 
-from .catalog import LIFT_PRIME, get_catalog
-from .groebner import hilbert_table, hilbert_table_json
+from .catalog import LIFT_PRIME, CatalogError, get_catalog
+from .groebner import GroebnerError, hilbert_table, hilbert_table_json
 from .lab import (
     PrincipalConfig,
     check_conjecture,
@@ -27,8 +27,10 @@ from .lab import (
     report_dot,
     report_json,
 )
+from .linalg import LinalgError
 from .pluecker import export_macaulay2, export_text, ideal
-from .pointcount import count_points
+from .pointcount import CountError, count_points
+from .poset import PosetError
 from .quiver import parse_quiver
 
 
@@ -68,6 +70,14 @@ def _write(args, name: str, text: str):
 
 
 def main(argv=None) -> int:
+    """Run one verb; a library error exits with its message as one line."""
+    try:
+        return _main(argv)
+    except (PosetError, LinalgError, CountError, CatalogError, GroebnerError) as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="quivergrass",
         description="Exact computations with principal quiver Grassmannians.",

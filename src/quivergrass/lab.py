@@ -435,7 +435,8 @@ def _check_a(cfg: PrincipalConfig, report: ExperimentReport) -> Verdict:
     drops = []
     nodes = report.poset.nodes
     for iso in nodes:
-        arrows = [report.hilbert_values(iso, "arrows")[k] for k in inner]
+        table = report.hilbert_values(iso, "arrows")
+        arrows = [table[k] for k in inner]
         paths = report.hilbert_values(iso, "paths")
         if any(pa > ar for ar, pa in zip(arrows, paths)):
             raise LabError("path ideal smaller than arrow ideal (impossible)")

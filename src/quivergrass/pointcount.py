@@ -2,11 +2,13 @@
 
 ``count_points`` runs a tree dynamic program that eliminates leaves with
 closed-form subspace counts where possible; ``brute_force_count`` is the
-slow independent oracle.  When the root is a point root (its subspaces are
-the lines or the hyperplanes of M_v) and every neighbour is a leaf, each
-leaf message takes one value on the points inside a subspace Z_c and one
-outside, so the root sum is an inclusion-exclusion over the ranks of
-intersections of the Z_c and no subspace is enumerated
+slow independent oracle.  When every e_v is 0 or d_v there is one
+candidate point (U_v = 0 or M_v), so the count is 0 or 1 and nothing else
+is built: this is every count of a thin model.  When the root is a point
+root (its subspaces are the lines or the hyperplanes of M_v) and every
+neighbour is a leaf, each leaf message takes one value on the points inside
+a subspace Z_c and one outside, so the root sum is an inclusion-exclusion
+over the ranks of intersections of the Z_c and no subspace is enumerated
 (``_point_root_sum``); the ranks add over direct summands, so they are
 read from tables per catalog summand.
 
@@ -172,7 +174,9 @@ def count_points(m: Representation, e, p: int, *,
                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
     """|Gr_e(M)(F_p)|: tuples of subspaces U_i with M_a(U_{s(a)}) in U_{t(a)}.
 
-    ``p`` must be the prime of ``m.field``.  A root with e_v = 1 or
+    ``p`` must be the prime of ``m.field``.  When every e_v is 0 or d_v,
+    the one candidate point counts unless a nonzero map leaves a full U_s
+    for a zero U_t.  Otherwise a root with e_v = 1 or
     e_v = d_v - 1 (0 < e_v < d_v) whose neighbours are all leaves is summed
     in closed form by ``_point_root_sum``; any other root runs the tree DP,
     whose every message is an object array of Python ints, one entry per
@@ -186,6 +190,11 @@ def count_points(m: Representation, e, p: int, *,
         if e[i] > m.dims[i]:
             raise CountError(f"e = {e[i]} exceeds d = {m.dims[i]} at vertex {q.name(i)}")
     f = _field_of(m, p)
+    if all(x in (0, d) for x, d in zip(e, m.dims)):
+        # every U_v is 0 or M_v: the one candidate fails only where a nonzero
+        # map leaves a full U_s for a zero U_t
+        return int(not any(e[s] and not e[t] and m.maps[a].any()
+                           for a, (s, t) in enumerate(q.arrows)))
     gauss = _gauss_table(p, max(m.dims, default=0))
     adj = q.neighbors()
     root = _cheapest_root(q, m.dims, e, p)
@@ -261,14 +270,6 @@ def count_points(m: Representation, e, p: int, *,
                 out[lo:lo + step] = inside @ w_child
         return out
 
-    def message(c: int, v: int) -> np.ndarray:
-        """Message of c into its parent v, per U_v: a leaf's closed message,
-        or the pair message of the product of c's own children's messages."""
-        below = [message(w, c) for w in adj[c] if w != v]
-        if not below:
-            return closed_message(c, v)
-        return pair_message(c, v, math.prod(below))
-
     dv = m.dims[root]
     if 0 < e[root] < dv and e[root] in (1, dv - 1) and all(len(adj[c]) == 1 for c in adj[root]):
         line = e[root] == 1
@@ -281,10 +282,29 @@ def count_points(m: Representation, e, p: int, *,
         totals = (np.array(mults) @ np.array(tables)).tolist()
         gs = [point_values(c, root, dim_y) for c, dim_y in zip(adj[root], totals)]
         return _point_root_sum(p, dv, gs, totals[len(gs):])
-    msgs = [message(c, root) for c in adj[root]]
+    # the message of c into its parent v, per U_v: a leaf's closed message,
+    # or the pair message of the product of c's own children's messages
+    msgs: dict[int, np.ndarray] = {}
+    for c, v in _post_order(adj, root):
+        below = [msgs.pop(w) for w in adj[c] if w != v]
+        msgs[c] = pair_message(c, v, math.prod(below)) if below else closed_message(c, v)
     if not msgs:
         return int(gaussian_binomial(m.dims[root], e[root], p))
-    return int(math.prod(msgs).sum())
+    return int(math.prod(msgs.values()).sum())
+
+
+def _post_order(adj: list[list[int]], root: int) -> list[tuple[int, int]]:
+    """The (child, parent) edges of the tree rooted at ``root`` in the
+    order of a recursive post-order: every edge after the edges below it,
+    siblings in ``adj`` order.  It is the reverse of a pre-order that
+    visits siblings last to first."""
+    order, stack = [], [(c, root) for c in adj[root]]
+    while stack:
+        c, v = stack.pop()
+        order.append((c, v))
+        stack.extend((w, c) for w in adj[c] if w != v)
+    order.reverse()
+    return order
 
 
 def _point_ranks(m: Representation, root: int, line: bool) -> tuple[int, ...]:
@@ -345,24 +365,13 @@ def _point_root_sum(p: int, d: int, gs: list[tuple[int, int]], ranks: list[int])
 def _cheapest_root(q: Quiver, d: tuple[int, ...], e: tuple[int, ...], p: int) -> int:
     """Root minimizing the estimated DP cost (pair messages dominate)."""
     adj = q.neighbors()
+    size = [int(gaussian_binomial(d[v], e[v], p)) for v in range(q.n)]
 
     def cost(root: int) -> int:
-        total = 0
-
-        def walk(v, parent):
-            nonlocal total
-            children = [w for w in adj[v] if w != parent]
-            size_v = gaussian_binomial(d[v], e[v], p)
-            for c in children:
-                sub_heavy = walk(c, v)
-                if sub_heavy:
-                    total += size_v * int(gaussian_binomial(d[c], e[c], p))
-                else:
-                    total += size_v
-            return bool(children)
-
-        walk(root, -1)
-        return total
+        # an edge into v costs |Gr(e_v, d_v)|, times |Gr(e_c, d_c)| when the
+        # child c has children of its own and so sends a pair message
+        return sum(size[v] * (size[c] if len(adj[c]) > 1 else 1)
+                   for c, v in _post_order(adj, root))
 
     return min(range(q.n), key=lambda v: (cost(v), v))
 
@@ -594,7 +603,11 @@ def _indecomposable_poly(quiver: Quiver, label, f: tuple[int, ...]) -> tuple[tup
     """The coefficients of P_{X,f}, the counting polynomial of Gr_f(X) for
     the catalog model X named by ``label``, and the largest prime its decode
     counted at.  The decode is bounded by chi <= |Gr_f(X)(F_2)|, which holds
-    because the coefficients are non-negative; the decode reuses that count."""
+    because the coefficients are non-negative; the decode reuses that count.
+
+    X is rigid, so a nonempty Gr_f(X) is smooth and projective of dimension
+    <f, dim X - f> (Caldero and Reineke) with an affine paving: P_{X,f} must
+    be a palindrome of that degree (``_check_smooth``)."""
     def count_at(p: int) -> int:
         return count_points(get_catalog(quiver, p).models[label], f, p)
 
@@ -604,7 +617,19 @@ def _indecomposable_poly(quiver: Quiver, label, f: tuple[int, ...]) -> tuple[tup
         lambda p: bound if p == 2 else count_at(p), primes, heldout, bound)
     if reason:
         raise CountError(f"counting polynomial of Gr_{f}({label}): {reason}")
+    _check_smooth(quiver, label, f, coeffs)
     return tuple(coeffs), (heldout or primes)[-1]
+
+
+def _check_smooth(quiver: Quiver, label, f: tuple[int, ...], coeffs: list[int]) -> None:
+    """Raise CountError unless ``coeffs`` is empty or a palindrome of degree
+    <f, dim X - f>, as P_{X,f} of a rigid X must be."""
+    if not coeffs:
+        return
+    dim = quiver.euler_form(f, [x - y for x, y in zip(label.dims, f)])
+    if len(coeffs) - 1 != dim or coeffs != coeffs[::-1]:
+        raise CountError(f"counting polynomial of Gr_{f}({label}): coefficients "
+                         f"{coeffs} are not a palindrome of degree <f, dim X - f> = {dim}")
 
 
 def _indecomposable_chi(quiver: Quiver, label, f: tuple[int, ...]) -> int:

@@ -51,21 +51,22 @@ def enumerate_isoclasses(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) 
         reach.append(level)
     reach.reverse()
     out: list[Isoclass] = []
-
-    def rec(idx: int, remaining: tuple[int, ...], picked: list[tuple]):
+    # depth first; a branch's multiplicities are pushed smallest first, so
+    # the largest is searched first
+    stack = [(0, d, ())]
+    while stack:
+        idx, remaining, picked = stack.pop()
         if remaining == zero:
             if len(out) >= budget:
                 raise PosetError(f"isoclass budget {budget} exceeded for d={d}")
             out.append(Isoclass(dict(picked)))
-            return
+            continue
         lab, dims, ahead = cat.labels[idx], roots[idx], reach[idx + 1]
         max_mult = min((rem // x for rem, x in zip(remaining, dims) if x), default=0)
-        for mult in range(max_mult, -1, -1):
+        for mult in range(max_mult + 1):
             rem2 = tuple(r - mult * x for r, x in zip(remaining, dims))
             if rem2 in ahead:
-                rec(idx + 1, rem2, picked + [(lab, mult)] if mult else picked)
-
-    rec(0, d, [])
+                stack.append((idx + 1, rem2, picked + ((lab, mult),) if mult else picked))
     return out
 
 

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from quivergrass.cli import main
-from quivergrass.pointcount import CountError
 
 
 @pytest.fixture()
@@ -67,9 +66,23 @@ def test_classify_max_prime(capsys, arrow_file):
     out = run(capsys, "classify", "--quiver", arrow_file,
               "--proj", "1,1", "--inj", "1,1", "--max-prime", "5")
     assert json.loads(out)["primes"] == [2, 3]
-    with pytest.raises(CountError, match=r"p=5, above max_prime=3"):
+    # the CountError exits with its message as one line
+    with pytest.raises(SystemExit, match=r"p=5, above max_prime=3$"):
         main(["classify", "--quiver", arrow_file,
               "--proj", "1,1", "--inj", "1,1", "--max-prime", "3"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poset", "--max-nodes", "-1"], "isoclass budget -1 exceeded for d=(3, 3)"),
+    (["count", "--prime", "4"], "modulus 4 is not prime"),
+], ids=["poset", "count"])
+def test_library_errors_exit_with_one_line(capsys, arrow_file, argv, message):
+    verb, *rest = argv
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--quiver", arrow_file, "--proj", "1,1", "--inj", "1,1", *rest])
+    assert exc.value.code == message
+    assert exc.value.__suppress_context__  # no chained traceback
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("flag", [

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from quivergrass.pointcount import (
     CountError,
     CountingPolynomial,
     _cheapest_root,
+    _check_smooth,
     _count_and_decode,
     _indecomposable_chi,
     _product,
@@ -80,6 +82,110 @@ def test_identity_map_counts_containment():
         m = Representation(q, f, (3, 3), [f.eye(3)])
         expected = gaussian_binomial(3, 2, p) * gaussian_binomial(2, 1, p)
         assert count_points(m, (1, 2), p) == expected
+
+
+# -- one candidate point: every e_v is 0 or d_v --------------------------
+
+def test_single_point_count_reads_the_maps_out_of_full_vertices():
+    # 1 -> 2 with e = (d_1, 0): U_1 = M_1 must map into U_2 = 0
+    q = linear_quiver(2)
+    for p in (2, 3):
+        f = PrimeField(p)
+        rank_one = f.mat([[1, 0], [0, 0], [0, 0]])
+        cases = [((1, 1), [f.eye(1)], (1, 0), 0),
+                 ((2, 3), [rank_one], (2, 0), 0),  # one nonzero entry is enough
+                 ((1, 1), [f.zeros(1, 1)], (1, 0), 1),
+                 ((2, 3), [f.zeros(3, 2)], (2, 0), 1),
+                 ((2, 3), [rank_one], (0, 3), 1)]  # a zero U_s maps anywhere
+        for d, maps, e, want in cases:
+            m = Representation(q, f, d, maps)
+            assert count_points(m, e, p) == brute_force_count(m, e, p) == want
+
+
+def test_single_point_count_is_one_at_zero_and_full():
+    f = PrimeField(3)
+    q = zigzag_quiver(3)  # 1 -> 2 <- 3
+    for d in [(2, 3, 1), (2, 0, 1), (0, 0, 0), (0, 2, 0)]:
+        m = Representation(q, f, d, [f.mat(np.ones((d[1], d[0]), dtype=np.int64)),
+                                     f.mat(np.ones((d[1], d[2]), dtype=np.int64))])
+        # where d_v = 0, e_v = 0 is both the zero and the full subspace
+        for e in [(0, 0, 0), d]:
+            assert count_points(m, e, 3) == brute_force_count(m, e, 3) == 1
+
+
+def _small_orientations():
+    """All orientations of A2-A4 and D4."""
+    def flips(vertices, edges):
+        for flip in itertools.product((False, True), repeat=len(edges)):
+            yield Quiver(vertices, [(t, s) if x else (s, t) for (s, t), x in zip(edges, flip)])
+    for n in (2, 3, 4):
+        yield from flips(list(range(1, n + 1)), [(i, i + 1) for i in range(1, n)])
+    yield from flips([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)])
+
+
+def test_catalog_models_count_as_brute_force():
+    # every (label, f <= dim X) of A2-A4 and D4: nearly all are thin, so
+    # nearly every count takes the single-point path
+    cases = single = 0
+    for q in _small_orientations():
+        for p in (2, 3):
+            cat = get_catalog(q, p)
+            for label in cat.labels:
+                m = cat.models[label]
+                for f in itertools.product(*(range(x + 1) for x in label.dims)):
+                    assert count_points(m, f, p) == brute_force_count(m, f, p), (q, label, f, p)
+                    cases += 1
+                    single += all(x in (0, d) for x, d in zip(f, label.dims))
+    assert (cases, single) == (2384, 2256)
+
+
+def test_summand_polynomials_are_palindromes_of_the_expected_degree():
+    # every P_{X,f} of A2-A4 and D4 passes the smoothness check on decode
+    # (uncached, so that each decode runs the check here)
+    pairs = nonempty = 0
+    for q in _small_orientations():
+        for label in get_catalog(q, 2).labels:
+            for f in itertools.product(*(range(x + 1) for x in label.dims)):
+                coeffs = pointcount._indecomposable_poly.__wrapped__(q, label, f)[0]
+                pairs += 1
+                nonempty += bool(coeffs)
+    assert (pairs, nonempty) == (1192, 726)
+
+
+def test_a_polynomial_that_is_not_smooth_is_refused(monkeypatch):
+    # D4 into the center: Gr_(0,1,0,0)(V(1,2,1,1)) is the lines of M_2, a P^1
+    q = Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)])
+    label = get_catalog(q, 2).label_by_dims((1, 2, 1, 1))
+    _check_smooth(q, label, (0, 1, 0, 0), [1, 1])
+    _check_smooth(q, label, (1, 0, 0, 0), [])  # U_1 = M_1 has nowhere to go
+    with pytest.raises(CountError, match=r"Gr_\(0, 1, 0, 0\)\(V\(1,2,1,1\)\).*"
+                                         r"\[1, 2\].*degree <f, dim X - f> = 1$"):
+        _check_smooth(q, label, (0, 1, 0, 0), [1, 2])
+    with pytest.raises(CountError, match=r"\[1, 1\].* = 0$"):
+        _check_smooth(q, label, (0, 0, 0, 0), [1, 1])
+    # a doctored decode is refused by ``_indecomposable_poly`` itself
+    monkeypatch.setattr(pointcount, "_count_and_decode", lambda *args: ([2, 1], ""))
+    with pytest.raises(CountError, match=r"V\(1,2,1,1\)"):
+        pointcount._indecomposable_poly.__wrapped__(q, label, (0, 1, 0, 0))
+
+
+def test_counts_and_isoclass_enumeration_leave_no_cyclic_garbage(eq_a3_cfg, d4_center_cfg):
+    # no recursive closure refers to itself, so nothing waits for the cyclic GC
+    dp = eq_a3_cfg.catalog_at(3).realize(eq_a3_cfg.generic())
+    star = d4_center_cfg.catalog_at(2).realize(d4_center_cfg.generic())
+    assert _cheapest_root(dp.quiver, dp.dims, eq_a3_cfg.e, 3) == 1  # Gr(2, 4): no point root
+    assert _cheapest_root(star.quiver, star.dims, d4_center_cfg.e, 2) == 1  # hyperplanes of F^5
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        count_points(dp, eq_a3_cfg.e, 3)
+        count_points(star, d4_center_cfg.e, 2)
+        enumerate_isoclasses(d4_center_cfg.catalog, d4_center_cfg.d)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("quiver", [
