@@ -31,16 +31,23 @@ from .linalg import LinalgError
 from .pluecker import export_macaulay2, export_text, ideal
 from .pointcount import CountError, count_points
 from .poset import PosetError
-from .quiver import parse_quiver
+from .quiver import QuiverError, parse_quiver
 
 
 def _read_quiver(path: str):
-    with open(path) as fh:
-        return parse_quiver(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SystemExit(f"cannot read quiver file {path}: {exc.strerror}") from None
+    return parse_quiver(text)
 
 
 def _mult(text: str, n: int):
-    vals = [int(t) for t in text.replace(",", " ").split()]
+    try:
+        vals = [int(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        raise SystemExit(f"multiplicities must be integers, got {text!r}") from None
     if len(vals) != n:
         raise SystemExit(f"expected {n} multiplicities, got {len(vals)}")
     return vals
@@ -70,10 +77,12 @@ def _write(args, name: str, text: str):
 
 
 def main(argv=None) -> int:
-    """Run one verb; a library error exits with its message as one line."""
+    """Run one verb; a library error or bad input exits with its message as
+    one line."""
     try:
         return _main(argv)
-    except (PosetError, LinalgError, CountError, CatalogError, GroebnerError) as exc:
+    except (QuiverError, PosetError, LinalgError, CountError, CatalogError,
+            GroebnerError) as exc:
         raise SystemExit(str(exc)) from None
 
 

@@ -6,7 +6,9 @@ subspace dimension is e = dim P.  Every isoclass of dimension d is
 classified by exact point counting, which stratifies the degeneration
 poset into the loci of minimal dimension (gamma2) and of minimal dimension
 with a single top component (gamma1, an irreducibility proxy).  Conjectures
-A and E read one Hilbert table per node and scope, kept on the report.
+A and E read one Hilbert table per node and scope, kept on the report; a
+node on which every path of length >= 2 acts by zero has one path ideal and
+arrow ideal, and its path table is read from its arrow table.
 """
 
 from __future__ import annotations
@@ -172,12 +174,21 @@ class ExperimentReport:
 
     def hilbert_values(self, iso: Isoclass, scope: str) -> list[int]:
         """Hilbert values of iso's ``scope`` ideal over ``_box(n, scope)``,
-        computed on first use."""
+        computed on first use.
+
+        When every path of length >= 2 acts by zero on iso, its path ideal
+        is its arrow ideal, and the path table is the arrow table's m <= 1
+        entries; the module is then not realized for the path scope."""
         key, cfg = (iso, scope), self.config
         if key not in self.hilbert:
-            ring, gens = ideal(cfg.catalog.realize(iso), cfg.e, scope=scope)
-            table = hilbert_table(ring, gens, cfg.catalog_prime, _box(cfg.quiver.n, scope))
-            self.hilbert[key] = [row["dim"] for row in table]
+            n = cfg.quiver.n
+            if scope == "paths" and _path_labels(cfg.catalog).isdisjoint(iso.counts):
+                table = self.hilbert_values(iso, "arrows")
+                self.hilbert[key] = [table[k] for k in _inner(n)]
+            else:
+                ring, gens = ideal(cfg.catalog.realize(iso), cfg.e, scope=scope)
+                table = hilbert_table(ring, gens, cfg.catalog_prime, _box(n, scope))
+                self.hilbert[key] = [row["dim"] for row in table]
         return self.hilbert[key]
 
     def classification(self, iso: Isoclass) -> Classification:
@@ -411,6 +422,23 @@ def _box(n: int, scope: str) -> list[tuple[int, ...]]:
     return list(itertools.product(range(_HILBERT_BOX[scope] + 1), repeat=n))
 
 
+@functools.lru_cache(maxsize=8)
+def _inner(n: int) -> tuple[int, ...]:
+    """Positions of the path box's multidegrees in the arrow box."""
+    arrows = _box(n, "arrows")
+    return tuple([arrows.index(m) for m in _box(n, "paths")])
+
+
+@functools.lru_cache(maxsize=64)
+def _path_labels(cat: Catalog) -> frozenset:
+    """Labels of the catalog models on which some path of length >= 2 acts
+    by a nonzero matrix.  A path acts by zero on a direct sum exactly when
+    it does on every summand, and then ``ideal`` adds no relation for it."""
+    paths = [path for path in cat.quiver.paths() if len(path) > 1]
+    return frozenset(label for label, model in cat.models.items()
+                     if any(model.path_matrix(path).any() for path in paths))
+
+
 def check_conjecture(cfg: PrincipalConfig, which: str, *,
                      report: ExperimentReport | None = None) -> Verdict:
     """Evaluate one of the five conjecture-style statements A-E.
@@ -430,8 +458,7 @@ def _check_a(cfg: PrincipalConfig, report: ExperimentReport) -> Verdict:
     """Probe: does adding path relations to arrow relations change any
     Hilbert value at m <= 1?  A strict drop means the arrow ideal alone is
     too small; no verdict on reducedness is implied either way."""
-    degrees = _box(cfg.quiver.n, "paths")
-    inner = [_box(cfg.quiver.n, "arrows").index(mm) for mm in degrees]
+    degrees, inner = _box(cfg.quiver.n, "paths"), _inner(cfg.quiver.n)
     drops = []
     nodes = report.poset.nodes
     for iso in nodes:

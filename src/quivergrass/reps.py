@@ -43,6 +43,15 @@ class Representation:
                     )
             self.maps.append(m)
 
+    @classmethod
+    def _of_checked(cls, quiver: Quiver, field: PrimeField, dims: tuple,
+                    maps: list) -> "Representation":
+        """A representation of a checked dimension tuple and a list of
+        reduced maps of the right shapes, taken as they are."""
+        m = cls.__new__(cls)
+        m.quiver, m.field, m.dims, m.isoclass, m.maps = quiver, field, dims, None, maps
+        return m
+
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -116,23 +125,27 @@ def injective(quiver: Quiver, field: PrimeField, vertex: int) -> Representation:
 
 
 def direct_sum(*reps: Representation) -> Representation:
+    """The block-diagonal sum.  Its maps are new arrays, filled from the
+    summands' reduced, shape-checked maps without checking them again."""
     if not reps:
         raise RepError("empty direct sum needs an explicit quiver; use zero_rep")
     quiver, field = reps[0].quiver, reps[0].field
     for r in reps[1:]:
         if r.quiver != quiver or r.field != field:
             raise RepError("direct sum over mismatched quiver or field")
-    dims = [sum(r.dims[i] for r in reps) for i in range(quiver.n)]
-    maps = {}
+    dims = tuple([sum([r.dims[i] for r in reps]) for i in range(quiver.n)])
+    maps = []
     for a, (s, t) in enumerate(quiver.arrows):
         m = field.zeros(dims[t], dims[s])
         ro = co = 0
         for r in reps:
-            m[ro : ro + r.dims[t], co : co + r.dims[s]] = r.maps[a]
-            ro += r.dims[t]
-            co += r.dims[s]
-        maps[a] = m
-    return Representation(quiver, field, dims, maps)
+            rt, rs = r.dims[t], r.dims[s]
+            if rt and rs:
+                m[ro : ro + rt, co : co + rs] = r.maps[a]
+            ro += rt
+            co += rs
+        maps.append(m)
+    return Representation._of_checked(quiver, field, dims, maps)
 
 
 # -- Hom and Ext -----------------------------------------------------------

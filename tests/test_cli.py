@@ -85,6 +85,34 @@ def test_library_errors_exit_with_one_line(capsys, arrow_file, argv, message):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("quiver_text, proj, message", [
+    pytest.param("vertices 1 2 3\n", "1,1,1", "line 1: expected 'key: value'",
+                 id="malformed"),
+    pytest.param("vertices: 1 2 3\narrow: 1 -> 2\narrow: 2 -> 3\narrow: 1 -> 3\n",
+                 "1,1,1", "underlying graph is not a tree (wrong edge count)",
+                 id="not-a-tree"),
+    pytest.param(None, "1,-1,1", "negative entry in dimension vector", id="negative"),
+    pytest.param(None, "1,x,1", "multiplicities must be integers, got '1,x,1'",
+                 id="not-an-integer"),
+    pytest.param("", "1,1,1", "cannot read quiver file {path}: No such file or directory",
+                 id="missing-file"),
+])
+def test_bad_input_exits_with_one_line(capsys, tmp_path, zigzag_file, quiver_text, proj,
+                                       message):
+    """A bad quiver file, a missing one or bad multiplicities end in one line."""
+    path = zigzag_file
+    if quiver_text is not None:
+        path = str(tmp_path / "input.quiver")
+        if quiver_text:
+            with open(path, "w") as fh:
+                fh.write(quiver_text)
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", "--quiver", path, "--proj", proj, "--inj", "1,1,1"])
+    assert exc.value.code == message.format(path=path)
+    assert exc.value.__suppress_context__ or exc.value.__context__ is None
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("flag", [
     ["classify", "--primes", "2,3,5"],
     ["classify", "--jobs", "2"],

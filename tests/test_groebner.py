@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivergrass import groebner, pointcount
+from quivergrass import groebner, lab, pointcount
 from quivergrass.groebner import (
     GPoly,
     GroebnerError,
@@ -216,6 +216,34 @@ def test_hilbert_component_tables_keyed_by_block_layout():
             assert hilbert_component(ring, basis, m) == value
 
 
+def test_hilbert_table_memo_keyed_by_block_layout():
+    # one lead x0*x2 and one degree list on two layouts of five variables:
+    # a table memo keyed without the layout would give both the same values
+    split, joined = layout_ring([2, 3]), layout_ring([3, 2])
+    degrees = [(1, 1), (2, 0), (2, 1)]
+    for _ in range(2):
+        for ring, values in [(split, [5, 3, 7]), (joined, [6, 5, 10])]:
+            table = hilbert_table(ring, [MPoly(ring, {(0, 2): 1})], 107, degrees)
+            assert [row["dim"] for row in table] == values
+            assert [row["m"] for row in table] == [list(m) for m in degrees]
+
+
+def test_hilbert_table_reads_one_table_per_leading_term_ideal():
+    # x0*x2 and x0*x2 + x1*x2 have one lead in grevlex: the second ideal's
+    # values come from the first's table, and a warm degree list is not
+    # checked entry by entry again
+    ring = layout_ring([2, 3])
+    degrees = [(1, 1), (2, 0), (2, 1)]
+    first = hilbert_table(ring, [MPoly(ring, {(0, 2): 1})], 107, degrees)
+    hits = groebner._table_values.cache_info().hits
+    checks = groebner._checked.cache_info()
+    second = hilbert_table(ring, [MPoly(ring, {(0, 2): 1, (1, 2): 1})], 107, degrees)
+    assert second == first
+    assert groebner._table_values.cache_info().hits == hits + 1
+    assert groebner._checked.cache_info() == checks
+    assert groebner._table_values.cache_info().maxsize == groebner.TABLE_MEMO == 256
+
+
 def test_hilbert_component_edge_cases():
     ring = layout_ring([3, 1, 4])  # the middle block is Gr(0, 1): one variable
     basis = monomial_basis([(1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 2, 0)])
@@ -325,7 +353,9 @@ def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     pointcount.classify(lambda p: cfg.catalog_at(p).realize(cfg.generic()), cfg.e)
     pointcount.count_points(m, (1, 2, 1, 1), 3)  # not a point root: enumerates
     ideal(m, cfg.e, scope="paths")
-    memos = {"quivergrass.groebner": {"_lead_tables", "_monomials", "_checked"},
+    lab.ExperimentReport(cfg).hilbert_values(cfg.generic(), "paths")
+    memos = {"quivergrass.groebner": {"_lead_tables", "_monomials", "_checked",
+                                      "_checked_list", "_table_values"},
              "quivergrass.pluecker": {"_ring", "_quadrics", "_terms"},
              "quivergrass.pointcount": {"_cached_enum", "_gauss_table", "_cheapest_root",
                                         "_summand_point_ranks", "_indecomposable_poly",
@@ -348,6 +378,10 @@ def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
         held = [name for name, obj in vars(module).items()
                 if not name.startswith("__") and isinstance(obj, (dict, list, set)) and obj]
         assert held == []
+    # lab's module-level dicts are constants; its two memos are caches too
+    for memo in (lab._inner, lab._path_labels):
+        assert memo.cache_info().currsize
+        memo.cache_clear()
 
 
 def test_hilbert_values_flag_example():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from quivergrass.catalog import Isoclass, get_catalog
-from quivergrass import lab
+from quivergrass import groebner, lab, pluecker
 from quivergrass.lab import (
     LabError,
     PrincipalConfig,
@@ -287,7 +287,8 @@ def test_one_poset_build_per_configuration(monkeypatch):
     assert report.poset is cfg.poset
 
 
-def test_conjecture_e_one_table_per_node(monkeypatch, zigzag3_cfg, zigzag3_report):
+def record_ideals(monkeypatch) -> list:
+    """The (isoclass, scope) of every ideal lab builds from now on."""
     calls = []
     real = lab.ideal
 
@@ -296,17 +297,54 @@ def test_conjecture_e_one_table_per_node(monkeypatch, zigzag3_cfg, zigzag3_repor
         return real(m, e, scope=scope)
 
     monkeypatch.setattr(lab, "ideal", counting)
+    return calls
+
+
+def test_conjecture_e_one_table_per_node(monkeypatch, zigzag3_cfg, zigzag3_report):
+    calls = record_ideals(monkeypatch)
     report = lab.ExperimentReport(zigzag3_cfg, gamma2=zigzag3_report.gamma2)
     a = check_conjecture(zigzag3_cfg, "A", report=report)
     e = check_conjecture(zigzag3_cfg, "E", report=report)
     nodes = zigzag3_report.poset.nodes
     assert len(nodes) == 26
-    assert sorted(calls, key=str) == sorted(
-        [(iso, scope) for iso in nodes for scope in ("arrows", "paths")], key=str)
+    # zigzag A3 has no path of length 2: each path table is read from the
+    # node's arrow table, and no path ideal is built
+    assert sorted(calls, key=str) == sorted([(iso, "arrows") for iso in nodes], key=str)
     assert a.summary == "path relations strictly refine arrow relations on 0/26 nodes"
     assert e.holds is True
     assert e.summary == ("lower bound violated on 0 nodes; table equality on "
                          "18 nodes vs |gamma2| = 18")
+
+
+def test_path_ideals_only_where_a_long_path_acts(monkeypatch, a4_cfg):
+    # 1 -> 2 <- 3 <- 4: 4 -> 3 -> 2 is the one path of length 2
+    calls = record_ideals(monkeypatch)
+    report = lab.ExperimentReport(a4_cfg)
+    check_conjecture(a4_cfg, "A", report=report)
+    nodes = a4_cfg.poset.nodes
+    [path] = [path for path in a4_cfg.quiver.paths() if len(path) == 2]
+    acting = [x for x in nodes if a4_cfg.catalog.realize(x).path_matrix(path).any()]
+    assert (len(nodes), len(acting)) == (108, 64)
+    assert sorted(calls, key=str) == sorted(
+        [(x, "arrows") for x in nodes] + [(x, "paths") for x in acting], key=str)
+
+
+@pytest.mark.parametrize("name", ["zigzag3_cfg", "p1xp1_cfg", "a4_cfg", "eq_a3_cfg",
+                                  "d4_center_cfg"])
+def test_hilbert_values_equal_tables_built_from_scratch(name, request):
+    # every node and both scopes: memo hits, path tables read from arrow
+    # tables and tables computed afresh all equal a Groebner basis and
+    # hilbert_component per multidegree
+    cfg = request.getfixturevalue(name)
+    report = lab.ExperimentReport(cfg)
+    for scope in ("arrows", "paths"):
+        degrees = lab._box(cfg.quiver.n, scope)
+        for iso in cfg.poset.nodes:
+            ring, gens = pluecker.ideal(cfg.catalog.realize(iso), cfg.e, scope=scope)
+            basis = groebner.groebner_basis(ring, gens, cfg.catalog_prime,
+                                            max_degree=max(map(sum, degrees)))
+            expected = [groebner.hilbert_component(ring, basis, m) for m in degrees]
+            assert report.hilbert_values(iso, scope) == expected, (str(iso), scope)
 
 
 def test_empty_and_inconsistent_nodes_stay_out_of_the_loci(monkeypatch):

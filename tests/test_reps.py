@@ -83,6 +83,69 @@ def test_direct_sum_additivity():
         reps.hom_dim(c, a) + reps.hom_dim(c, b)
 
 
+def naive_direct_sum(parts):
+    """The block-diagonal sum built through the checking constructor."""
+    q, field = parts[0].quiver, parts[0].field
+    dims = [sum(r.dims[i] for r in parts) for i in range(q.n)]
+    maps = []
+    for a, (s, t) in enumerate(q.arrows):
+        m = np.zeros((dims[t], dims[s]), dtype=np.int64)
+        ro = co = 0
+        for r in parts:
+            for i in range(r.dims[t]):
+                for j in range(r.dims[s]):
+                    m[ro + i, co + j] = r.maps[a][i, j]
+            ro += r.dims[t]
+            co += r.dims[s]
+        maps.append(m)
+    return reps.Representation(q, field, dims, maps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 107])
+def test_direct_sum_equals_a_naive_block_diagonal_build(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for q in (zigzag_quiver(3), Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)])):
+        for k in (1, 2, 4):
+            # max_dim 2 leaves some vertices at 0: empty blocks are skipped
+            parts = [random_rep(q, rng, max_dim=2, field=field) for _ in range(k)]
+            got, want = reps.direct_sum(*parts), naive_direct_sum(parts)
+            assert got.dims == want.dims and type(got.dims) is tuple
+            assert got.field == field and got.quiver == q and got.isoclass is None
+            for a, b in zip(got.maps, want.maps):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+
+
+def test_direct_sum_does_not_alias_the_catalog_models():
+    q = Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)])
+    cat = get_catalog(q, 3)
+    before = {lab: [m.copy() for m in x.maps] for lab, x in cat.models.items()}
+    for label in cat.labels:
+        for iso in (Isoclass({label: 1}), Isoclass({label: 2, cat.labels[0]: 1})):
+            rep = cat.realize(iso)
+            for m in rep.maps:
+                m += 1
+    for label, x in cat.models.items():
+        assert all(np.array_equal(a, b) for a, b in zip(x.maps, before[label]))
+
+
+def test_direct_sum_refuses_a_mismatch_and_realizes_the_empty_isoclass():
+    q = zigzag_quiver(3)
+    a = reps.simple(q, F, 0)
+    with pytest.raises(reps.RepError, match="mismatched"):
+        reps.direct_sum(a, reps.simple(linear_quiver(3), F, 0))
+    with pytest.raises(reps.RepError, match="mismatched"):
+        reps.direct_sum(a, reps.simple(q, PrimeField(3), 0))
+    with pytest.raises(reps.RepError, match="empty direct sum"):
+        reps.direct_sum()
+    empty = get_catalog(q, 107).realize(Isoclass({}))
+    zero = reps.zero_rep(q, F)
+    assert empty.dims == zero.dims == (0, 0, 0)
+    assert [m.shape for m in empty.maps] == [m.shape for m in zero.maps] == [(0, 0)] * 2
+    assert empty.isoclass == Isoclass({})
+
+
 def test_indecomposables_are_bricks():
     q = linear_quiver(2)
     u12 = reps.projective(q, F, 0)
