@@ -18,7 +18,7 @@ import os
 import sys
 
 from .catalog import LIFT_PRIME, CatalogError, get_catalog
-from .groebner import GroebnerError, hilbert_table, hilbert_table_json
+from .groebner import GroebnerError, hilbert_table
 from .lab import (
     PrincipalConfig,
     check_conjecture,
@@ -193,7 +193,7 @@ def _main(argv) -> int:
         degrees = list(itertools.product(range(args.max_multidegree + 1),
                                          repeat=cfg.quiver.n))
         table = hilbert_table(ring, gens, cfg.catalog_prime, degrees)
-        _write(args, "hilbert.json", hilbert_table_json(table) + "\n")
+        _write(args, "hilbert.json", json.dumps(table, indent=2) + "\n")
     elif args.verb == "count":
         iso = pick_isoclass(args.isoclass)
         p = args.prime or 2

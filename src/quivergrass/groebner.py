@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
 import struct
 from collections import Counter
@@ -261,7 +260,7 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     Counts multidegree-m monomials outside the leading-term ideal; needs a
     basis truncated at total degree >= sum(m).  ``budget`` caps the candidate
     count prod_i C(k_i + m_i - 1, m_i) (k_i variables in block i) before any
-    work; that check is kept per (quiver, block layout, m, budget).  The
+    work; that check is ``_checked`` on the one-entry list [m].  The
     count is read from ``_lead_tables``, keyed by the block layout
     and the leads and cached for the last two keys.  Per (basis, block i,
     degree d) it builds the block masks once: n_{i,d} * k_i ORs over the
@@ -271,23 +270,41 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     A call then costs one pass over the states of m[:-1] times the distinct
     masks of the last block.
     """
-    m = _checked(ring.quiver, ring.block, tuple(m), budget)
+    (m,) = _check(ring, (tuple(m),), budget)
     # a list-built key: tuple() of a generator over-allocates and resizes
     return _lead_tables(ring.block, tuple([g.lead for g in basis])).count(m)
 
 
+def _check(ring: PlueckerRing, degrees: tuple, budget: int) -> tuple:
+    """``_checked`` on ``degrees``, a tuple of tuples.  The memo compares
+    keys by equality, under which a float entry equals an int, so only a
+    list whose entries sum to an int enters it; any other list is checked
+    afresh, so a float raises the same error cold or warm and a numpy
+    integer is converted."""
+    try:
+        ints = type(sum(map(sum, degrees))) is int
+    except TypeError:  # a string or None entry
+        ints = False
+    check = _checked if ints else _checked.__wrapped__
+    return check(ring.quiver, ring.block, degrees, budget)
+
+
 @functools.lru_cache(maxsize=1024)
-def _checked(quiver: Quiver, blocks: tuple, m: tuple, budget: int) -> tuple:
-    """m as a checked dimension vector whose prod_i C(k_i + m_i - 1, m_i)
-    candidate monomials (k_i variables in block i) are within the budget; an
-    error is not cached, so it is raised again on every call."""
-    m = quiver.check_dimvector(m)
-    total = math.prod(math.comb(hi - lo + deg - 1, deg) for (lo, hi), deg in zip(blocks, m))
-    if total > budget:
-        raise GroebnerError(
-            f"{total} candidate monomials of multidegree {list(m)} "
-            f"exceed the budget {budget}")
-    return m
+def _checked(quiver: Quiver, blocks: tuple, degrees: tuple, budget: int) -> tuple:
+    """The multidegrees as checked dimension vectors, in order, each with
+    prod_i C(k_i + m_i - 1, m_i) candidate monomials (k_i variables in
+    block i) within the budget; a list with a bad entry is not cached, so
+    its error is raised again on every call."""
+    out = []
+    for m in degrees:
+        m = quiver.check_dimvector(m)
+        total = math.prod(math.comb(hi - lo + deg - 1, deg) for (lo, hi), deg in zip(blocks, m))
+        if total > budget:
+            raise GroebnerError(
+                f"{total} candidate monomials of multidegree {list(m)} "
+                f"exceed the budget {budget}")
+        out.append(m)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -414,18 +431,11 @@ def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees) -> lis
     that passed is not checked again.  The values are read from
     ``_table_values``, keyed by the block layout, the basis's leads and the
     checked list, so ideals with one leading-term ideal share one table."""
-    degrees = _checked_list(ring.quiver, ring.block, tuple([tuple(m) for m in degrees]))
+    degrees = _check(ring, tuple([tuple(m) for m in degrees]), HILBERT_BUDGET)
     max_total = max((sum(m) for m in degrees), default=0)
     basis = groebner_basis(ring, gens, p, max_degree=max_total)
     dims = _table_values(ring.block, tuple([g.lead for g in basis]), degrees)
     return [{"m": list(m), "dim": dim} for m, dim in zip(degrees, dims)]
-
-
-@functools.lru_cache(maxsize=64)
-def _checked_list(quiver: Quiver, blocks: tuple, degrees: tuple) -> tuple:
-    """``_checked`` on every entry at the default budget, in order; a list
-    with a bad entry is not cached."""
-    return tuple([_checked(quiver, blocks, m, HILBERT_BUDGET) for m in degrees])
 
 
 @functools.lru_cache(maxsize=TABLE_MEMO)
@@ -434,7 +444,3 @@ def _table_values(blocks: tuple, leads: tuple, degrees: tuple) -> tuple:
     this block layout (Macaulay's theorem)."""
     tables = _lead_tables(blocks, leads)
     return tuple([tables.count(m) for m in degrees])
-
-
-def hilbert_table_json(table: list[dict]) -> str:
-    return json.dumps(table, indent=2)

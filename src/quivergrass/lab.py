@@ -245,10 +245,8 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
             raise LabError(
                 f"classified dimension {min_dim} below expected {cfg.expected_dim}")
         report.gamma2 = [x for x in classified if dims[x] == cfg.expected_dim]
-        report.gamma1 = [
-            x for x in report.gamma2
-            if report.classifications[x].top_count == 1 and dims[x] == min_dim
-        ]
+        report.gamma1 = [x for x in report.gamma2
+                         if report.classifications[x].top_count == 1]
         if not report.gaps:
             for locus in (set(report.gamma2), set(report.gamma1)):
                 poset.lower_ideal(locus.__contains__)

@@ -245,7 +245,8 @@ def ideal(m: Representation, e, *, scope: str = "arrows") -> tuple[PlueckerRing,
     and the exchange quadrics are shared by every call with the same
     (quiver, d, e) and must not be modified.
     """
-    q, d, e = m.quiver, m.dims, tuple(e)
+    # checked before the memos, under whose keys a float entry equals an int
+    q, d, e = m.quiver, m.dims, m.quiver.check_dimvector(e)
     ring = _ring(q, d, e)
     if scope == "arrows":
         maps = [(s, t, m.maps[a]) for a, (s, t) in enumerate(q.arrows)]

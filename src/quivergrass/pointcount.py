@@ -111,6 +111,11 @@ def _cached_enum(e: int, d: int, field: PrimeField, budget: int) -> SubspaceEnum
 
 def enumerate_subspaces(e: int, d: int, field: PrimeField, *,
                         budget: int = DEFAULT_ENUM_BUDGET) -> SubspaceEnum:
+    # converted before the memo, under whose keys a float equals an int
+    try:
+        e, d = operator.index(e), operator.index(d)
+    except TypeError:
+        raise CountError(f"subspace dimension {e!r} or ambient {d!r} is not an integer") from None
     return _cached_enum(e, d, field, budget)
 
 
@@ -632,11 +637,6 @@ def _check_smooth(quiver: Quiver, label, f: tuple[int, ...], coeffs: list[int]) 
                          f"{coeffs} are not a palindrome of degree <f, dim X - f> = {dim}")
 
 
-def _indecomposable_chi(quiver: Quiver, label, f: tuple[int, ...]) -> int:
-    """chi(Gr_f(X)) = P_{X,f}(1)."""
-    return sum(_indecomposable_poly(quiver, label, f)[0])
-
-
 # -- the twisted product over catalog summands ------------------------------
 
 class _Box:
@@ -783,12 +783,6 @@ def _product(m: Representation, e) -> tuple[list[int], int]:
         label, mult = summands[-1]
         packed = _fold_at_e(acc, dim_m, _power_table(q, label, mult, e, width), box, width)
     return _unpack(packed, width), max(top for _, _, top in infos)
-
-
-def euler_characteristic(m: Representation, e) -> int:
-    """chi(Gr_e(M)) = P(1), the sum of the coefficients of the counting
-    polynomial that ``classify`` reads off the catalog summands of ``m``."""
-    return sum(_product(m, e)[0])
 
 
 def classify(m_for_prime, e, *, max_prime: int = 101,

@@ -6,7 +6,9 @@ from a knapsack over the catalog labels that enters only remainders some
 isoclass completes.  All fingerprints come from one product of the node x
 label multiplicity matrix with the catalog's Hom matrix, the order matrix
 is an AND of one comparison per label column, and every query reads the
-order matrix.
+order matrix.  Two independent criteria for the same order, the dual Hom
+criterion and the type-A rank criterion, are test references
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -68,72 +70,6 @@ def enumerate_isoclasses(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) 
             if rem2 in ahead:
                 stack.append((idx + 1, rem2, picked + ((lab, mult),) if mult else picked))
     return out
-
-
-def degenerates_to(cat: Catalog, m: Isoclass, n: Isoclass) -> bool:
-    """Bongartz: M <= N iff hom(M, X) <= hom(N, X) for all catalog X."""
-    _check_same_dim(cat, m, n)
-    return bool((cat.dual_iso_fingerprint(m) <= cat.dual_iso_fingerprint(n)).all())
-
-
-def dual_degenerates_to(cat: Catalog, m: Isoclass, n: Isoclass) -> bool:
-    """Equivalent dual form: hom(X, M) <= hom(X, N) for all catalog X."""
-    _check_same_dim(cat, m, n)
-    return bool((cat.iso_fingerprint(m) <= cat.iso_fingerprint(n)).all())
-
-
-def _check_same_dim(cat: Catalog, m: Isoclass, n: Isoclass):
-    if m.dims(cat.quiver.n) != n.dims(cat.quiver.n):
-        raise PosetError("degeneration compares only equal dimension vectors")
-
-
-def rank_order(cat: Catalog, m: Isoclass, n: Isoclass) -> bool:
-    """Rank criterion, type A only: M <= N iff for every interval of the
-    underlying line, the rank of the interval's source-to-sink block matrix
-    in M is no smaller than in N.  For the equioriented orientation each
-    interval carries a single path and this is the classical path-rank test.
-    """
-    q = cat.quiver
-    if q.dynkin != "A":
-        raise PosetError("rank criterion applies to type A only")
-    _check_same_dim(cat, m, n)
-    f = cat.field
-    rm = cat.realize(m)
-    rn = cat.realize(n)
-    order = q.path_order()
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            seg = order[i:j + 1]
-            if f.rank(_interval_matrix(rm, seg)) < f.rank(_interval_matrix(rn, seg)):
-                return False
-    return True
-
-
-def _interval_matrix(rep, seg) -> np.ndarray:
-    """Block matrix of all path maps inside the vertex interval `seg`,
-    from the interval's local sources to its local sinks."""
-    q = rep.quiver
-    inside = set(seg)
-    sources = [v for v in seg
-               if all(q.source(a) not in inside for a in q.arrows_in(v))]
-    sinks = [v for v in seg
-             if all(q.target(a) not in inside for a in q.arrows_out(v))]
-    rows = sum(rep.dims[w] for w in sinks)
-    cols = sum(rep.dims[v] for v in sources)
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    paths = {(p.source, p.target): p for p in q.paths()}
-    r0 = 0
-    for w in sinks:
-        c0 = 0
-        for v in sources:
-            path = paths.get((v, w))
-            if path is not None and all(x in inside for x in
-                                        [q.source(a) for a in path.arrows] +
-                                        [q.target(a) for a in path.arrows]):
-                mat[r0:r0 + rep.dims[w], c0:c0 + rep.dims[v]] = rep.path_matrix(path)
-            c0 += rep.dims[v]
-        r0 += rep.dims[w]
-    return mat
 
 
 def generic_isoclass(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) -> Isoclass:

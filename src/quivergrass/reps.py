@@ -78,34 +78,15 @@ def simple(quiver: Quiver, field: PrimeField, vertex: int) -> Representation:
     return Representation(quiver, field, dims)
 
 
-def _paths_by_end(quiver: Quiver, v: int) -> list[list[tuple[int, ...]]]:
-    """Arrow sequences of all directed paths starting at v (incl. the trivial
-    one), grouped by end vertex, each group in sorted order."""
-    paths = [()]
-    stack = [(v, ())]
-    while stack:
-        cur, arrs = stack.pop()
-        for a in sorted(quiver.arrows_out(cur)):
-            paths.append(arrs + (a,))
-            stack.append((quiver.target(a), arrs + (a,)))
-    by_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(quiver.n)]
-    for arrs in sorted(paths):
-        by_vertex[quiver.target(arrs[-1]) if arrs else v].append(arrs)
-    return by_vertex
-
-
 def projective(quiver: Quiver, field: PrimeField, vertex: int) -> Representation:
-    """The indecomposable projective P_i: basis given by paths starting at i."""
-    by_vertex = _paths_by_end(quiver, vertex)
-    dims = [len(b) for b in by_vertex]
-    maps = {}
-    for a, (s, t) in enumerate(quiver.arrows):
-        m = field.zeros(dims[t], dims[s])
-        for col, arrs in enumerate(by_vertex[s]):
-            longer = arrs + (a,)
-            if longer in by_vertex[t]:
-                m[by_vertex[t].index(longer), col] = 1
-        maps[a] = m
+    """The indecomposable projective P_i: basis given by paths starting at i.
+
+    On a tree there is at most one path from i to each vertex, so each space
+    is 0 or 1-dimensional, and an arrow s -> t acts as [[1]] exactly when s
+    is reached (t is then reached through it)."""
+    reached = {vertex} | {p.target for p in quiver.paths() if p.source == vertex}
+    dims = [int(v in reached) for v in range(quiver.n)]
+    maps = [[[1]] if s in reached else None for s, _ in quiver.arrows]
     return Representation(quiver, field, dims, maps)
 
 

@@ -230,8 +230,8 @@ def test_hilbert_table_memo_keyed_by_block_layout():
 
 def test_hilbert_table_reads_one_table_per_leading_term_ideal():
     # x0*x2 and x0*x2 + x1*x2 have one lead in grevlex: the second ideal's
-    # values come from the first's table, and a warm degree list is not
-    # checked entry by entry again
+    # values come from the first's table, and a warm degree list is one hit
+    # of the check memo, not checked entry by entry again
     ring = layout_ring([2, 3])
     degrees = [(1, 1), (2, 0), (2, 1)]
     first = hilbert_table(ring, [MPoly(ring, {(0, 2): 1})], 107, degrees)
@@ -240,7 +240,7 @@ def test_hilbert_table_reads_one_table_per_leading_term_ideal():
     second = hilbert_table(ring, [MPoly(ring, {(0, 2): 1, (1, 2): 1})], 107, degrees)
     assert second == first
     assert groebner._table_values.cache_info().hits == hits + 1
-    assert groebner._checked.cache_info() == checks
+    assert groebner._checked.cache_info()[:2] == (checks.hits + 1, checks.misses)
     assert groebner._table_values.cache_info().maxsize == groebner.TABLE_MEMO == 256
 
 
@@ -338,6 +338,33 @@ def test_hilbert_table_validates_its_degree_list_before_any_table():
         {"m": [2, 1], "dim": 12}, {"m": [1, 0], "dim": 3}]
 
 
+FLOAT_ENTRY = re.escape("entry 1.0 at vertex 1 is not an integer")
+
+
+def test_hilbert_component_refuses_a_float_entry_cold_and_warm():
+    # the check memo compares (1.0, 1) equal to (1, 1): a float must not
+    # pass once the int multidegree is warm
+    ring = PlueckerRing(linear_quiver(2), (3, 2), (1, 1))
+    groebner._checked.cache_clear()
+    with pytest.raises(QuiverError, match=FLOAT_ENTRY):
+        hilbert_component(ring, [], (1.0, 1))
+    assert hilbert_component(ring, [], (1, 1)) == 6
+    with pytest.raises(QuiverError, match=FLOAT_ENTRY):
+        hilbert_component(ring, [], (1.0, 1))
+    assert hilbert_component(ring, [], np.array([1, 1])) == 6
+
+
+def test_hilbert_table_refuses_a_float_entry_cold_and_warm():
+    ring = PlueckerRing(linear_quiver(2), (3, 2), (1, 1))
+    groebner._checked.cache_clear()
+    with pytest.raises(QuiverError, match=FLOAT_ENTRY):
+        hilbert_table(ring, [], 107, [(1.0, 1)])
+    assert hilbert_table(ring, [], 107, [(1, 1)]) == [{"m": [1, 1], "dim": 6}]
+    with pytest.raises(QuiverError, match=FLOAT_ENTRY):
+        hilbert_table(ring, [], 107, [(1.0, 1)])
+    assert hilbert_table(ring, [], 107, [np.array([1, 1])]) == [{"m": [1, 1], "dim": 6}]
+
+
 def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     # perfbench/run.py:clear_caches calls cache_clear on every module-level
     # callable of quivergrass that has one, so each memo must be such a
@@ -355,7 +382,7 @@ def test_groebner_memos_emptied_by_the_benchmark_cache_rule():
     ideal(m, cfg.e, scope="paths")
     lab.ExperimentReport(cfg).hilbert_values(cfg.generic(), "paths")
     memos = {"quivergrass.groebner": {"_lead_tables", "_monomials", "_checked",
-                                      "_checked_list", "_table_values"},
+                                      "_table_values"},
              "quivergrass.pluecker": {"_ring", "_quadrics", "_terms"},
              "quivergrass.pointcount": {"_cached_enum", "_gauss_table", "_cheapest_root",
                                         "_summand_point_ranks", "_indecomposable_poly",

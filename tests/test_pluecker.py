@@ -1,9 +1,11 @@
 import itertools
+import re
 from math import comb
 
 import numpy as np
 import pytest
 
+from quivergrass import pluecker as pluecker_module
 from quivergrass.catalog import Isoclass, get_catalog
 from quivergrass.lab import PrincipalConfig
 from quivergrass.linalg import PrimeField
@@ -19,7 +21,7 @@ from quivergrass.pluecker import (
     pluecker_coordinates,
 )
 from quivergrass.pointcount import enumerate_subspaces
-from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
+from quivergrass.quiver import Quiver, QuiverError, linear_quiver, zigzag_quiver
 from quivergrass.reps import Representation
 
 
@@ -257,3 +259,16 @@ def test_ideal_errors_with_warm_memos():
             ideal(m, (1, 1), scope="edges")
     again, same = ideal(m, [1, 1])  # a list e finds the same memo entry
     assert again is ring and [g.coeffs for g in same] == [g.coeffs for g in gens]
+
+
+def test_ideal_refuses_a_float_entry_cold_and_warm():
+    # the ring and relation memos compare (1.0, 1) equal to (1, 1)
+    q = linear_quiver(2)
+    m = Representation(q, PrimeField(3), (3, 2))
+    pluecker_module._ring.cache_clear()
+    with pytest.raises(QuiverError, match=re.escape("entry 1.0 at vertex 1 is not an integer")):
+        ideal(m, (1.0, 1))
+    ring, _ = ideal(m, (1, 1))
+    assert ring.e == (1, 1)
+    with pytest.raises(QuiverError, match=re.escape("entry 1.0 at vertex 1 is not an integer")):
+        ideal(m, (1.0, 1))
