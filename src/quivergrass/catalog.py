@@ -242,11 +242,14 @@ def _check_order(q: Quiver, labels, hom: np.ndarray, order) -> None:
 
 def _label_for(q: Quiver, dims: tuple[int, ...]) -> IndecLabel:
     if q.dynkin == "A":
-        order = q.path_order()
-        support = [pos for pos, v in enumerate(order) if dims[v]]
-        i, j = support[0] + 1, support[-1] + 1
-        return IndecLabel(dims, f"U({i},{j})")
+        return IndecLabel(dims, "U({},{})".format(*_interval(q, dims)))
     return IndecLabel(dims, "V(" + ",".join(str(x) for x in dims) + ")")
+
+
+def _interval(q: Quiver, dims) -> tuple[int, int]:
+    """The first and last 1-based line positions of a type-A support."""
+    support = [pos for pos, v in enumerate(q.path_order(), 1) if dims[v]]
+    return support[0], support[-1]
 
 
 class Catalog:
@@ -279,9 +282,6 @@ class Catalog:
         self.models = {label: Representation(self.quiver, self.field, label.dims, m)
                        for label, m in zip(labels, maps)}
 
-    def _unit(self, k: int):
-        return [1 if i == k else 0 for i in range(self.quiver.n)]
-
     # lookup helpers
 
     def label_by_dims(self, dims) -> IndecLabel:
@@ -297,13 +297,26 @@ class Catalog:
         raise CatalogError(f"unknown indecomposable {name!r}")
 
     def simple_label(self, vertex: int) -> IndecLabel:
-        return self.label_by_dims(self._unit(vertex))
+        return self._support_label((vertex,))
 
     def projective_label(self, vertex: int) -> IndecLabel:
-        return self.label_by_dims(reps.projective(self.quiver, self.field, vertex).dims)
+        """P_v, supported on the vertices that v reaches."""
+        return self._support_label(self.quiver.reaches[vertex])
 
     def injective_label(self, vertex: int) -> IndecLabel:
-        return self.label_by_dims(reps.injective(self.quiver, self.field, vertex).dims)
+        """I_v, supported on the vertices that reach v."""
+        return self._support_label(self.quiver.reached_by[vertex])
+
+    def interval_label(self, i: int, j: int) -> IndecLabel:
+        """Type A: the interval module on 1-based line positions i..j."""
+        return self._support_label(self.quiver.path_order()[i - 1 : j])
+
+    def interval(self, label: IndecLabel) -> tuple[int, int]:
+        """Type A: the 1-based line positions (i, j) of ``label``'s support."""
+        return _interval(self.quiver, label.dims)
+
+    def _support_label(self, support) -> IndecLabel:
+        return self.label_by_dims([int(v in support) for v in range(self.quiver.n)])
 
     # Hom fingerprints
 

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .catalog import LIFT_PRIME, CatalogError, get_catalog
-from .groebner import GroebnerError, hilbert_table
+from .groebner import HILBERT_BUDGET, GroebnerError, check_multidegrees, hilbert_table
 from .lab import (
     PrincipalConfig,
     check_conjecture,
@@ -190,8 +190,9 @@ def _main(argv) -> int:
         iso = pick_isoclass(args.isoclass)
         m = cat.realize(iso)
         ring, gens = ideal(m, cfg.e)
-        degrees = list(itertools.product(range(args.max_multidegree + 1),
-                                         repeat=cfg.quiver.n))
+        top = args.max_multidegree
+        check_multidegrees(ring, ((top,) * cfg.quiver.n,), HILBERT_BUDGET)
+        degrees = itertools.product(range(top + 1), repeat=cfg.quiver.n)
         table = hilbert_table(ring, gens, cfg.catalog_prime, degrees)
         _write(args, "hilbert.json", json.dumps(table, indent=2) + "\n")
     elif args.verb == "count":

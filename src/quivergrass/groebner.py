@@ -270,17 +270,18 @@ def hilbert_component(ring: PlueckerRing, basis: list[GPoly], m, *,
     A call then costs one pass over the states of m[:-1] times the distinct
     masks of the last block.
     """
-    (m,) = _check(ring, (tuple(m),), budget)
+    (m,) = check_multidegrees(ring, (tuple(m),), budget)
     # a list-built key: tuple() of a generator over-allocates and resizes
     return _lead_tables(ring.block, tuple([g.lead for g in basis])).count(m)
 
 
-def _check(ring: PlueckerRing, degrees: tuple, budget: int) -> tuple:
+def check_multidegrees(ring: PlueckerRing, degrees: tuple, budget: int) -> tuple:
     """``_checked`` on ``degrees``, a tuple of tuples.  The memo compares
     keys by equality, under which a float entry equals an int, so only a
     list whose entries sum to an int enters it; any other list is checked
     afresh, so a float raises the same error cold or warm and a numpy
-    integer is converted."""
+    integer is converted.  A candidate count grows with every entry, so the
+    corner (m, ..., m) alone decides a whole box of multidegrees."""
     try:
         ints = type(sum(map(sum, degrees))) is int
     except TypeError:  # a string or None entry
@@ -431,7 +432,7 @@ def hilbert_table(ring: PlueckerRing, gens: list[MPoly], p: int, degrees) -> lis
     that passed is not checked again.  The values are read from
     ``_table_values``, keyed by the block layout, the basis's leads and the
     checked list, so ideals with one leading-term ideal share one table."""
-    degrees = _check(ring, tuple([tuple(m) for m in degrees]), HILBERT_BUDGET)
+    degrees = check_multidegrees(ring, tuple([tuple(m) for m in degrees]), HILBERT_BUDGET)
     max_total = max((sum(m) for m in degrees), default=0)
     basis = groebner_basis(ring, gens, p, max_degree=max_total)
     dims = _table_values(ring.block, tuple([g.lead for g in basis]), degrees)

@@ -18,10 +18,11 @@ import functools
 import itertools
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .catalog import LIFT_PRIME, Catalog, Isoclass, IndecLabel, get_catalog
+from .catalog import LIFT_PRIME, Catalog, Isoclass, get_catalog
 from .groebner import GroebnerError, hilbert_table
 from .pluecker import ideal
 from .pointcount import (
@@ -255,13 +256,6 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
 
 # -- combinatorial candidates for the deepest representations ---------------
 
-def _interval(lab_name: str) -> tuple[int, int]:
-    m = re.fullmatch(r"U\((\d+),(\d+)\)", lab_name)
-    if not m:
-        raise LabError(f"not an interval label: {lab_name}")
-    return int(m.group(1)), int(m.group(2))
-
-
 def split_at_deficient(cfg: PrincipalConfig) -> Isoclass:
     """The candidate gamma1 sink for type A with deficient vertices.
 
@@ -274,43 +268,31 @@ def split_at_deficient(cfg: PrincipalConfig) -> Isoclass:
     cat = cfg.catalog
     order = q.path_order()
     deficient = {order.index(i) + 1 for i in cfg.deficient_vertices()}
-    counts: dict[IndecLabel, int] = {}
+    counts: Counter = Counter()
     for lab, mult in (cfg.proj_iso + cfg.inj_iso).counts.items():
-        i, j = _interval(lab.name)
+        i, j = cat.interval(lab)
         # cut every edge (t, t+1) incident to a deficient position
         cur = i
         for t in range(i, j):
             if t in deficient or t + 1 in deficient:
-                piece = cat.label_by_name(f"U({cur},{t})")
-                counts[piece] = counts.get(piece, 0) + mult
+                counts[cur, t] += mult
                 cur = t + 1
-        piece = cat.label_by_name(f"U({cur},{j})")
-        counts[piece] = counts.get(piece, 0) + mult
-    return Isoclass(counts)
+        counts[cur, j] += mult
+    return Isoclass({cat.interval_label(i, j): mult for (i, j), mult in counts.items()})
 
 
-def _segment_m2(a: int, b: int, toward_b: bool) -> dict[str, int]:
+def _segment_m2(a: int, b: int, toward_b: bool) -> Counter:
     """Deepest-candidate summands of one equioriented segment [a..b].
 
-    Returns interval names (path-order positions) with multiplicities for
-    P + S + I/S of the segment viewed as an equioriented A quiver.
+    Returns intervals (i, j) of path-order positions with multiplicities
+    for P + S + I/S of the segment viewed as an equioriented A quiver.
     """
-    out: dict[str, int] = {}
-
-    def add(i, j, mult=1):
-        if i > j:
-            return
-        key = f"U({i},{j})"
-        out[key] = out.get(key, 0) + mult
-
+    out: Counter = Counter()
     for j in range(a, b + 1):
-        add(j, j)  # the simple S_j
-        if toward_b:
-            add(j, b)          # projective of the segment at j
-            add(a, j - 1)      # injective at j modulo its socle
-        else:
-            add(a, j)
-            add(j + 1, b)
+        out[j, j] += 1  # the simple S_j
+        # the segment's projective at j and its injective at j modulo the socle
+        pieces = [(j, b), (a, j - 1)] if toward_b else [(a, j), (j + 1, b)]
+        out.update(x for x in pieces if x[0] <= x[1])
     return out
 
 
@@ -330,40 +312,27 @@ def conjectured_m2(cfg: PrincipalConfig) -> Isoclass | None:
     cat = cfg.catalog
     order = q.path_order()
     # direction of each edge along the path: True if it points forward
-    forward = []
-    for t in range(q.n - 1):
-        s, tt = order[t], order[t + 1]
-        forward.append((s, tt) in q.arrows)
+    forward = [(s, t) in q.arrows for s, t in zip(order, order[1:])]
     # maximal equioriented segments [a, b] in 1-based positions
-    segments = []
-    a = 1
-    for t in range(1, q.n - 1):
-        if forward[t] != forward[t - 1]:
-            segments.append((a, t + 1, forward[t - 1]))
-            a = t + 1
-    segments.append((a, q.n, forward[-1]))
-    counts: dict[str, int] = {}
+    segments, a = [], 1
+    for toward_b, run in itertools.groupby(forward):
+        b = a + len(list(run))
+        segments.append((a, b, toward_b))
+        a = b
+    counts: Counter = Counter()
     for a, b, toward_b in segments:
-        for name, mult in _segment_m2(a, b, toward_b).items():
-            counts[name] = counts.get(name, 0) + mult
+        counts.update(_segment_m2(a, b, toward_b))
     # gluing: drop two copies of the simple at each junction vertex
     for a, b, _ in segments[:-1]:
-        key = f"U({b},{b})"
-        counts[key] = counts.get(key, 0) - 2
-        if counts[key] < 0:
+        counts[b, b] -= 2
+        if counts[b, b] < 0:
             raise LabError("gluing removed a summand that is not present")
-    base = Isoclass({
-        cat.label_by_name(name): mult for name, mult in counts.items() if mult
-    })
+    base = Isoclass({cat.interval_label(i, j): mult for (i, j), mult in counts.items() if mult})
     # stacking: excess multiplicities ride along unchanged
-    extra: dict[IndecLabel, int] = {}
+    extra: Counter = Counter()
     for i in range(q.n):
-        if cfg.proj_mult[i] > 1:
-            lab = cat.projective_label(i)
-            extra[lab] = extra.get(lab, 0) + cfg.proj_mult[i] - 1
-        if cfg.inj_mult[i] > 1:
-            lab = cat.injective_label(i)
-            extra[lab] = extra.get(lab, 0) + cfg.inj_mult[i] - 1
+        extra[cat.projective_label(i)] += cfg.proj_mult[i] - 1
+        extra[cat.injective_label(i)] += cfg.inj_mult[i] - 1
     return base + Isoclass(extra)
 
 
@@ -386,11 +355,11 @@ def hom_criterion_set(cfg: PrincipalConfig) -> HomCriterion:
     proj_labels = {cat.projective_label(i) for i in range(cfg.quiver.n)}
     non_inj = [b for b, lab in enumerate(cat.labels) if lab not in inj_labels]
     non_proj = [b for b, lab in enumerate(cat.labels) if lab not in proj_labels]
-    mult, h = poset.multiplicities, cat.hom_matrix()
     bound = cat.dual_iso_fingerprint(cfg.proj_iso)[non_inj] + 1
     dual_bound = cat.iso_fingerprint(cfg.inj_iso)[non_proj] + 1
-    is_member = ((mult @ h)[:, non_inj] <= bound).all(axis=1)  # hom(M, X)
-    is_dual_member = ((mult @ h.T)[:, non_proj] <= dual_bound).all(axis=1)  # hom(X, M)
+    is_member = (poset.fingerprints[:, non_inj] <= bound).all(axis=1)  # hom(M, X)
+    hom_into = poset.multiplicities @ cat.hom_matrix().T  # hom(X, M)
+    is_dual_member = (hom_into[:, non_proj] <= dual_bound).all(axis=1)
     members = [x for x, ok in zip(poset.nodes, is_member) if ok]
     dual_members = [x for x, ok in zip(poset.nodes, is_dual_member) if ok]
     return HomCriterion(

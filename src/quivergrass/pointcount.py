@@ -298,7 +298,7 @@ def count_points(m: Representation, e, p: int, *,
     return int(math.prod(msgs.values()).sum())
 
 
-def _post_order(adj: list[list[int]], root: int) -> list[tuple[int, int]]:
+def _post_order(adj: tuple[tuple[int, ...], ...], root: int) -> list[tuple[int, int]]:
     """The (child, parent) edges of the tree rooted at ``root`` in the
     order of a recursive post-order: every edge after the edges below it,
     siblings in ``adj`` order.  It is the reverse of a pre-order that
@@ -652,7 +652,7 @@ class _Box:
         self.e = e
         self.vectors = list(itertools.product(*(range(x + 1) for x in e)))
         self.index = {g: i for i, g in enumerate(self.vectors)}
-        into = [[s for s, t in quiver.arrows if t == v] for v in range(quiver.n)]
+        into = [[quiver.source(a) for a in quiver.arrows_in(t)] for t in range(quiver.n)]
         self.gprime = [tuple(g[t] - sum(g[s] for s in into[t]) for t in range(quiver.n))
                        for g in self.vectors]
         self._dots: list = [None] * len(self.vectors)

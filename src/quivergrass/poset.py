@@ -90,7 +90,8 @@ def generic_isoclass(cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET) -> I
 
 class IsoclassPoset:
     """Degeneration poset of all isoclasses of one dimension vector: the
-    order matrix ``leq`` and the node x label ``multiplicities``."""
+    order matrix ``leq``, the node x label ``multiplicities`` and the node x
+    label ``fingerprints`` that ``leq`` compares."""
 
     def __init__(self, cat: Catalog, d, *, budget: int = DEFAULT_NODE_BUDGET):
         self.catalog = cat
@@ -98,7 +99,8 @@ class IsoclassPoset:
         self.nodes = enumerate_isoclasses(cat, d, budget=budget)
         self._position = {x: i for i, x in enumerate(self.nodes)}
         self.multiplicities = np.array([cat.multiplicities(iso) for iso in self.nodes])
-        fps = self.multiplicities @ cat.hom_matrix()  # dual fingerprints, hom(M, X_a)
+        # the dual fingerprints: fingerprints[i, a] = hom(node i, X_a)
+        self.fingerprints = fps = self.multiplicities @ cat.hom_matrix()
         n = len(self.nodes)
         # leq[i, j]: node i degenerates to node j, an AND over the label
         # columns; each column contiguous, in the smallest unsigned type

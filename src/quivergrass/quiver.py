@@ -61,16 +61,51 @@ class Quiver:
         self.edge_arrow = {e: a for a, (s, t) in enumerate(self.arrows) for e in ((s, t), (t, s))}
         if len(self.arrows) != self.n - 1:
             raise QuiverError("underlying graph is not a tree (wrong edge count)")
+        # the combinatorics every layer reads, built once and never mutated:
+        # the arrows out of and into each vertex, in index order, and the
+        # neighbours of each vertex, in arrow order
+        out, into, adj = ([[] for _ in range(self.n)] for _ in range(3))
+        for a, (s, t) in enumerate(self.arrows):
+            out[s].append(a)
+            into[t].append(a)
+            adj[s].append(t)
+            adj[t].append(s)
+        self._out, self._in, self._adj = (tuple(map(tuple, x)) for x in (out, into, adj))
         if self.n and not self._connected():
             raise QuiverError("underlying graph is not connected")
+        # the directed paths, one per pair of endpoints on a tree, walked
+        # along the arrows from each vertex, and the vertices each walk
+        # reaches, itself included: on a tree, the support of P_v
+        paths, reaches = [], []
+        for v in range(self.n):
+            stack, seen = [(v, ())], []
+            while stack:
+                cur, arrs = stack.pop()
+                seen.append(cur)
+                if arrs:
+                    paths.append(Path(arrs, v, cur))
+                stack.extend([(self.arrows[a][1], arrs + (a,)) for a in out[cur]])
+            reaches.append(frozenset(seen))
+        self._paths = tuple(sorted(paths, key=lambda p: (len(p.arrows), p.arrows)))
+        self.reaches = tuple(reaches)
+        # the vertices that reach each vertex: the support of I_v
+        self.reached_by = tuple(frozenset([v for v in range(self.n) if w in reaches[v]])
+                                for w in range(self.n))
         self.dynkin = classify_tree(self)
+        # in type A, the line walked from the end with the smaller name
+        self._line = None
+        if self.dynkin == "A":
+            line = [min((v for v in range(self.n) if len(adj[v]) < 2), key=self.name)]
+            while len(line) < self.n:
+                line.append(next(w for w in adj[line[-1]] if w not in line[-2:]))
+            self._line = tuple(line)
         # quivers key the per-summand tables of every count: hash once
         self._hash = hash((self.vertex_names, self.arrows))
 
     # -- basic structure ---------------------------------------------------
 
     def _connected(self) -> bool:
-        adj = self.neighbors()
+        adj = self._adj
         seen = {0}
         stack = [0]
         while stack:
@@ -93,24 +128,20 @@ class Quiver:
     def target(self, a: int) -> int:
         return self.arrows[a][1]
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for s, t in self.arrows:
-            adj[s].append(t)
-            adj[t].append(s)
-        return adj
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return self._adj
 
-    def arrows_out(self, v: int) -> list[int]:
-        return [a for a, (s, _) in enumerate(self.arrows) if s == v]
+    def arrows_out(self, v: int) -> tuple[int, ...]:
+        return self._out[v]
 
-    def arrows_in(self, v: int) -> list[int]:
-        return [a for a, (_, t) in enumerate(self.arrows) if t == v]
+    def arrows_in(self, v: int) -> tuple[int, ...]:
+        return self._in[v]
 
     def is_sink(self, v: int) -> bool:
-        return not self.arrows_out(v)
+        return not self._out[v]
 
     def is_source(self, v: int) -> bool:
-        return not self.arrows_in(v)
+        return not self._in[v]
 
     def reversed_at(self, v: int) -> "Quiver":
         """The quiver with every arrow incident to vertex ``v`` (external name)
@@ -166,46 +197,20 @@ class Quiver:
                                   "is not an integer") from None
         return tuple(out)
 
-    def paths(self) -> list[Path]:
-        """All directed paths of length >= 1, each exactly once.
+    def paths(self) -> tuple[Path, ...]:
+        """All directed paths of length >= 1, each exactly once, shortest
+        first and then by arrow indices."""
+        return self._paths
 
-        Finite because the quiver is a tree: a directed path is determined
-        by its endpoints.
-        """
-        out: list[Path] = []
-        for v in range(self.n):
-            # DFS along arrow directions from v
-            stack = [(v, ())]
-            while stack:
-                cur, arrs = stack.pop()
-                if arrs:
-                    out.append(Path(arrs, v, cur))
-                for a in self.arrows_out(cur):
-                    stack.append((self.target(a), arrs + (a,)))
-        out.sort(key=lambda p: (len(p), p.arrows))
-        return out
-
-    def path_order(self) -> list[int]:
+    def path_order(self) -> tuple[int, ...]:
         """For type A: internal vertex indices along the underlying path.
 
         Oriented so that the endpoint with the smaller external name comes
         first; for a single vertex, trivial.
         """
-        if self.n == 1:
-            return [0]
-        adj = self.neighbors()
-        ends = [v for v in range(self.n) if len(adj[v]) == 1]
-        if len(ends) != 2 or any(len(adj[v]) > 2 for v in range(self.n)):
+        if self._line is None:
             raise QuiverError("not a type A quiver")
-        start = min(ends, key=lambda v: self.name(v))
-        order = [start]
-        prev = -1
-        cur = start
-        while len(order) < self.n:
-            nxt = [w for w in adj[cur] if w != prev][0]
-            order.append(nxt)
-            prev, cur = cur, nxt
-        return order
+        return self._line
 
 
 # The reflected quivers of catalog builds and BGP reflections: a tree has at
@@ -228,33 +233,17 @@ def _opposite(q: Quiver) -> Quiver:
 
 def classify_tree(q: Quiver) -> str:
     """Classify the underlying tree: 'A', 'D' or 'other-tree'."""
-    degs = [0] * q.n
-    for s, t in q.arrows:
-        degs[s] += 1
-        degs[t] += 1
     if q.n == 0:
         raise QuiverError("empty quiver")
-    if max(degs, default=0) <= 2:
+    adj = q.neighbors()
+    degs = [len(w) for w in adj]
+    if max(degs) <= 2:
         return "A"
     branch = [v for v in range(q.n) if degs[v] >= 3]
-    if len(branch) == 1 and degs[branch[0]] == 3 and q.n >= 4:
-        # D_n: one degree-3 vertex, at least two of whose branches are leaves
-        b = branch[0]
-        adj = q.neighbors()
-        arm_lengths = []
-        for w in adj[b]:
-            length = 1
-            prev, cur = b, w
-            while True:
-                nxt = [x for x in adj[cur] if x != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arm_lengths.append(length)
-        arm_lengths.sort()
-        if arm_lengths[0] == 1 and arm_lengths[1] == 1:
-            return "D"
+    # D_n: one degree-3 vertex, at least two of whose neighbours are leaves
+    leaves = sum(degs[w] == 1 for w in adj[branch[0]])
+    if len(branch) == 1 and degs[branch[0]] == 3 and leaves >= 2:
+        return "D"
     return "other-tree"
 
 
@@ -287,17 +276,25 @@ def parse_quiver(text: str) -> Quiver:
         key, _, val = line.partition(":")
         key = key.strip().lower()
         if key == "vertices":
-            vertices = [int(tok) for tok in val.split()]
+            vertices = [_vertex_name(tok, lineno) for tok in val.split()]
         elif key == "arrow":
-            if "->" not in val:
+            ends = val.split("->")
+            if len(ends) != 2:
                 raise QuiverError(f"line {lineno}: arrow needs 'a -> b'")
-            s, _, t = val.partition("->")
-            arrows.append((int(s.strip()), int(t.strip())))
+            arrows.append((_vertex_name(ends[0], lineno), _vertex_name(ends[1], lineno)))
         else:
             raise QuiverError(f"line {lineno}: unknown declaration {key!r}")
     if vertices is None:
         raise QuiverError("missing 'vertices:' declaration")
     return Quiver(vertices, arrows)
+
+
+def _vertex_name(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise QuiverError(f"line {lineno}: vertex name {token.strip()!r} "
+                          "is not an integer") from None
 
 
 def format_quiver(q: Quiver) -> str:

@@ -84,7 +84,7 @@ def projective(quiver: Quiver, field: PrimeField, vertex: int) -> Representation
     On a tree there is at most one path from i to each vertex, so each space
     is 0 or 1-dimensional, and an arrow s -> t acts as [[1]] exactly when s
     is reached (t is then reached through it)."""
-    reached = {vertex} | {p.target for p in quiver.paths() if p.source == vertex}
+    reached = quiver.reaches[vertex]
     dims = [int(v in reached) for v in range(quiver.n)]
     maps = [[[1]] if s in reached else None for s, _ in quiver.arrows]
     return Representation(quiver, field, dims, maps)
@@ -211,7 +211,7 @@ def reflection_functor(m: Representation, vertex: int) -> Representation:
     f = m.field
     k = vertex
     if q.is_source(k):
-        arrows_out = sorted(q.arrows_out(k))
+        arrows_out = q.arrows_out(k)
         assembled = np.concatenate([m.maps[a] for a in arrows_out] + [f.zeros(0, m.dims[k])])
         proj = f.quotient_projection(f.image_basis(assembled))
         dims = list(m.dims)

@@ -1,12 +1,26 @@
-"""Independent criteria for the degeneration order, kept as references for
+"""Test references: the small Dynkin quivers that many tests sweep, and
+independent criteria for the degeneration order, kept as references for
 ``IsoclassPoset.leq`` (Bongartz, "On degenerations and extensions of finite
 dimensional modules", 1996).  ``leq`` computes M <= N iff hom(M, X) <=
 hom(N, X) for every indecomposable X; the dual Hom criterion and, in type A,
 the rank criterion give the same order by different arithmetic."""
 
+import itertools
+
 import numpy as np
 
 from quivergrass.poset import PosetError
+from quivergrass.quiver import Quiver
+
+
+def small_dynkin_quivers():
+    """Every orientation of A2-A5 (30 quivers) and then of D4-D5 (24), each
+    on vertices 1..n, in the order of the arrow flips."""
+    lines = [[(i, i + 1) for i in range(1, n)] for n in (2, 3, 4, 5)]
+    for edges in lines + [[(1, 2), (3, 2), (4, 2)], [(1, 2), (3, 2), (4, 2), (5, 4)]]:
+        for flips in itertools.product((False, True), repeat=len(edges)):
+            yield Quiver(list(range(1, len(edges) + 2)),
+                         [(t, s) if flip else (s, t) for (s, t), flip in zip(edges, flips)])
 
 
 def dual_degenerates_to(cat, m, n) -> bool:

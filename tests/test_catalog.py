@@ -1,4 +1,3 @@
-import itertools
 import re
 
 import numpy as np
@@ -19,6 +18,8 @@ from quivergrass.catalog import (
 from quivergrass.linalg import PrimeField, is_prime
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass import reps
+
+from oracles import small_dynkin_quivers
 
 
 D4 = Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)])
@@ -62,7 +63,7 @@ def test_catalog_realizes_indecomposables():
 def test_hom_matrix_against_direct_hom():
     # the Hom matrix comes from the integer models over F_107 once per
     # quiver; every catalog of the quiver must agree with its own solves
-    for q in _small_dynkin_quivers():
+    for q in small_dynkin_quivers():
         for p in (2, 3, LIFT_PRIME):
             cat = get_catalog(q, p)
             models = [cat.models[lab] for lab in cat.labels]
@@ -118,12 +119,30 @@ def test_parse_rejects_a_negative_multiplicity_naming_its_term():
 
 
 def test_special_labels():
-    q = linear_quiver(3, ">>")
-    cat = get_catalog(q)
-    for v in range(3):
-        assert cat.simple_label(v).dims == tuple(1 if i == v else 0 for i in range(3))
-        assert cat.projective_label(v).dims == reps.projective(q, cat.field, v).dims
-        assert cat.injective_label(v).dims == reps.injective(q, cat.field, v).dims
+    # the labels read the quiver's reach sets; the modules are built from
+    # its paths, and I_v as the dual of P_v over the opposite quiver
+    for q in small_dynkin_quivers():
+        cat = get_catalog(q)
+        for v in range(q.n):
+            assert cat.simple_label(v).dims == tuple(1 if i == v else 0 for i in range(q.n))
+            assert cat.projective_label(v).dims == reps.projective(q, cat.field, v).dims, q
+            assert cat.injective_label(v).dims == reps.injective(q, cat.field, v).dims, q
+
+
+def test_interval_labels_by_position():
+    # type A: (i, j) -> label -> (i, j) on every orientation, and every
+    # label is one interval
+    for q in small_dynkin_quivers():
+        if q.dynkin != "A":
+            continue
+        cat = get_catalog(q)
+        pairs = [(i, j) for i in range(1, q.n + 1) for j in range(i, q.n + 1)]
+        labels = [cat.interval_label(i, j) for i, j in pairs]
+        assert sorted(labels) == cat.labels
+        for (i, j), label in zip(pairs, labels):
+            assert label.name == f"U({i},{j})" and cat.interval(label) == (i, j)
+        with pytest.raises(CatalogError, match="not a positive root"):
+            cat.interval_label(2, 1)
 
 
 def test_iso_fingerprint_additive():
@@ -222,20 +241,6 @@ def reference_models(q: Quiver, field: PrimeField) -> dict:
     return models
 
 
-def _orientations(edges):
-    for flips in itertools.product((False, True), repeat=len(edges)):
-        yield [(t, s) if flip else (s, t) for (s, t), flip in zip(edges, flips)]
-
-
-def _small_dynkin_quivers():
-    for n in (2, 3, 4, 5):
-        for arrows in _orientations([(i, i + 1) for i in range(1, n)]):
-            yield Quiver(list(range(1, n + 1)), arrows)
-    for edges in ([(1, 2), (3, 2), (4, 2)], [(1, 2), (3, 2), (4, 2), (5, 4)]):
-        for arrows in _orientations(edges):
-            yield Quiver(list(range(1, len(edges) + 2)), arrows)
-
-
 FIXTURE_QUIVERS = [
     zigzag_quiver(3),  # zigzag A3 and P1xP1
     linear_quiver(3, ">>"),
@@ -257,7 +262,7 @@ def _assert_models_equal(q: Quiver, p: int):
 
 def test_models_equal_a_reflection_build_at_each_prime():
     # 30 orientations of A2-A5 and 24 of D4-D5
-    quivers = list(_small_dynkin_quivers())
+    quivers = list(small_dynkin_quivers())
     assert len(quivers) == 54
     for q in quivers:
         for p in (2, 3, 5, 7, 11, LIFT_PRIME):

@@ -1,7 +1,10 @@
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from quivergrass import cli
 from quivergrass.cli import main
 
 
@@ -91,6 +94,10 @@ def test_library_errors_exit_with_one_line(capsys, arrow_file, argv, message):
     pytest.param("vertices: 1 2 3\narrow: 1 -> 2\narrow: 2 -> 3\narrow: 1 -> 3\n",
                  "1,1,1", "underlying graph is not a tree (wrong edge count)",
                  id="not-a-tree"),
+    pytest.param("vertices: 1 x\n", "1,1,1", "line 1: vertex name 'x' is not an integer",
+                 id="vertex-not-an-integer"),
+    pytest.param("vertices: 1 2 3\narrow: 1 -> 2 -> 3\n", "1,1,1",
+                 "line 2: arrow needs 'a -> b'", id="arrow-chain"),
     pytest.param(None, "1,-1,1", "negative entry in dimension vector", id="negative"),
     pytest.param(None, "1,x,1", "multiplicities must be integers, got '1,x,1'",
                  id="not-an-integer"),
@@ -158,6 +165,22 @@ def test_hilbert_refuses_a_negative_max_multidegree(capsys, arrow_file):
         main(["hilbert", "--quiver", arrow_file, "--proj", "1,1", "--inj", "1,1",
               "--max-multidegree", "-1"])
     assert exc.value.code == "--max-multidegree must be >= 0, got -1"
+    assert capsys.readouterr().out == ""
+
+
+def test_hilbert_checks_the_budget_before_listing_multidegrees(capsys, monkeypatch,
+                                                               arrow_file):
+    # candidate counts grow with every entry, so the corner (m, m) decides
+    # the box; at m = 10^4 the box would hold 10^8 multidegrees
+    def product(*args, **kwargs):
+        raise AssertionError("the multidegree box was listed before the budget check")
+
+    monkeypatch.setattr(cli, "itertools", SimpleNamespace(product=product))
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--quiver", arrow_file, "--proj", "1,1", "--inj", "1,1",
+              "--max-multidegree", "10000"])
+    assert re.fullmatch(r"\d+ candidate monomials of multidegree \[10000, 10000\] "
+                        r"exceed the budget 2000000", exc.value.code)
     assert capsys.readouterr().out == ""
 
 

@@ -33,6 +33,8 @@ from quivergrass.poset import enumerate_isoclasses
 from quivergrass.quiver import Quiver, linear_quiver, zigzag_quiver
 from quivergrass.reps import Representation
 
+from oracles import small_dynkin_quivers
+
 
 def test_subspace_enum_counts():
     for p in (2, 3):
@@ -127,12 +129,7 @@ def test_single_point_count_is_one_at_zero_and_full():
 
 def _small_orientations():
     """All orientations of A2-A4 and D4."""
-    def flips(vertices, edges):
-        for flip in itertools.product((False, True), repeat=len(edges)):
-            yield Quiver(vertices, [(t, s) if x else (s, t) for (s, t), x in zip(edges, flip)])
-    for n in (2, 3, 4):
-        yield from flips(list(range(1, n + 1)), [(i, i + 1) for i in range(1, n)])
-    yield from flips([1, 2, 3, 4], [(1, 2), (3, 2), (4, 2)])
+    return [q for q in small_dynkin_quivers() if q.n <= 4]
 
 
 def test_catalog_models_count_as_brute_force():

@@ -12,6 +12,8 @@ from quivergrass.quiver import (
     zigzag_quiver,
 )
 
+from oracles import small_dynkin_quivers
+
 
 def test_basic_structure():
     q = Quiver([1, 2, 3], [(1, 2), (3, 2)])
@@ -124,3 +126,54 @@ def test_check_dimvector():
         q.euler_form((1, 0, 0), (0, 0, 0.5))
     with pytest.raises(QuiverError, match=r"-1\.0 at vertex 1"):
         q.euler_form((-1.0, 0, 0), (0, 0, 1))
+
+
+def _plain_facts(q):
+    """Every fact the quiver stores, recomputed from ``arrows`` alone: the
+    neighbours in arrow order, the arrows out and in, the directed paths by
+    a breadth-first walk from each vertex, the reach sets from the paths'
+    endpoints and, in type A, the line walked from the smaller-named end."""
+    adj = [[] for _ in range(q.n)]
+    for s, t in q.arrows:
+        adj[s].append(t)
+        adj[t].append(s)
+    out = [tuple(a for a, (s, _) in enumerate(q.arrows) if s == v) for v in range(q.n)]
+    into = [tuple(a for a, (_, t) in enumerate(q.arrows) if t == v) for v in range(q.n)]
+    paths, frontier = [], [((), v, v) for v in range(q.n)]
+    while frontier:
+        frontier = [(arrs + (a,), v, q.arrows[a][1])
+                    for arrs, v, w in frontier for a in out[w]]
+        paths.extend(sorted(frontier))
+    reaches = [{v} | {w for _, u, w in paths if u == v} for v in range(q.n)]
+    reached_by = [{v} | {u for _, u, w in paths if w == v} for v in range(q.n)]
+    line = None
+    if all(len(x) <= 2 for x in adj):
+        ends = [v for v in range(q.n) if len(adj[v]) <= 1]
+        line = [min(ends, key=q.name)]
+        while len(line) < q.n:
+            line.append(next(w for w in adj[line[-1]] if w not in line))
+    return adj, out, into, paths, reaches, reached_by, line
+
+
+def test_stored_facts_equal_a_plain_recomputation():
+    for q in small_dynkin_quivers():
+        adj, out, into, paths, reaches, reached_by, line = _plain_facts(q)
+        assert [list(x) for x in q.neighbors()] == adj, q
+        assert [q.arrows_out(v) for v in range(q.n)] == out, q
+        assert [q.arrows_in(v) for v in range(q.n)] == into, q
+        assert [q.is_sink(v) for v in range(q.n)] == [not x for x in out], q
+        assert [q.is_source(v) for v in range(q.n)] == [not x for x in into], q
+        assert [(p.arrows, p.source, p.target) for p in q.paths()] == paths, q
+        assert [set(x) for x in q.reaches] == reaches, q
+        assert [set(x) for x in q.reached_by] == reached_by, q
+        if line is None:
+            with pytest.raises(QuiverError, match="not a type A quiver"):
+                q.path_order()
+        else:
+            assert list(q.path_order()) == line, q
+        # built once in the constructor, as immutable values
+        assert q.paths() is q.paths() and q.neighbors() is q.neighbors()
+        assert all(type(x) is tuple for x in (q.paths(), q.neighbors(), q.neighbors()[0],
+                                              q.arrows_out(0), q.arrows_in(0)))
+        assert all(type(x) is frozenset for x in q.reaches + q.reached_by)
+
