@@ -6,7 +6,8 @@ report.  Every verb takes a quiver file (--quiver), a working prime
 projective/injective multiplicities (--proj/--inj) that pin down the
 principal configuration and the poset budget (--max-nodes); classify,
 conjecture and report also take the largest prime a count may use
-(--max-prime).
+(--max-prime), and conjecture and report print one line per classified
+node to stderr with --progress.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def _config(args) -> PrincipalConfig:
     return PrincipalConfig(q, _mult(args.proj, q.n), _mult(args.inj, q.n), **kwargs)
 
 
+def _print_progress(k: int, n: int, iso, cls) -> None:
+    """``classify_all``'s progress callback: k/n, the isoclass, and its
+    dimension or ``gap``."""
+    shown = f"dim {cls.dimension}" if cls is not None and cls.consistent else "gap"
+    print(f"{k}/{n} {iso}: {shown}", file=sys.stderr, flush=True)
+
+
 def _write(args, name: str, text: str):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -93,7 +101,7 @@ def _main(argv) -> int:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, principal=True, decodes=False):
+    def common(p, principal=True, decodes=False, progress=False):
         p.add_argument("--quiver", required=True, help="quiver description file")
         if principal:
             p.add_argument("--proj", required=True, help="projective multiplicities, e.g. 1,1,1")
@@ -104,6 +112,10 @@ def _main(argv) -> int:
                            help="largest prime a per-summand decode may count at; "
                                 "a node whose summands need more is an error "
                                 "(default 101)")
+        if progress:
+            p.add_argument("--progress", action="store_true",
+                           help="print k/n, the isoclass and its dimension or 'gap' "
+                                "to stderr as each node is classified")
         p.add_argument("--prime", type=int, default=0,
                        help=f"working prime (default {LIFT_PRIME}; 2 for count)")
         p.add_argument("--out", default="", help="output directory (default: stdout)")
@@ -135,11 +147,11 @@ def _main(argv) -> int:
     p.add_argument("--isoclass", default="")
 
     p = sub.add_parser("conjecture", help="evaluate one conjecture statement")
-    common(p, decodes=True)
+    common(p, decodes=True, progress=True)
     p.add_argument("which", choices=list("ABCDE"))
 
     p = sub.add_parser("report", help="classify the whole poset and report")
-    common(p, decodes=True)
+    common(p, decodes=True, progress=True)
     p.add_argument("--dot", action="store_true")
 
     args = parser.parse_args(argv)
@@ -160,6 +172,7 @@ def _main(argv) -> int:
 
     cfg = _config(args)
     cat = cfg.catalog
+    progress = _print_progress if getattr(args, "progress", False) else None
 
     def pick_isoclass(text: str):
         if not text:
@@ -209,7 +222,9 @@ def _main(argv) -> int:
         cls = classify_node(cfg, iso)
         _write(args, "classify.json", cls.to_json(str(iso)) + "\n")
     elif args.verb == "conjecture":
-        verdict = check_conjecture(cfg, args.which)
+        # A reads Hilbert tables alone; B-E read the whole classification
+        report = None if args.which == "A" else classify_all(cfg, progress=progress)
+        verdict = check_conjecture(cfg, args.which, report=report)
         _write(args, f"conjecture_{args.which}.json", json.dumps({
             "which": verdict.which,
             "holds": verdict.holds,
@@ -217,7 +232,7 @@ def _main(argv) -> int:
             "details": verdict.details,
         }, indent=2) + "\n")
     elif args.verb == "report":
-        rep = classify_all(cfg)
+        rep = classify_all(cfg, progress=progress)
         if args.dot:
             _write(args, "report.dot", report_dot(rep))
         else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .catalog import LIFT_PRIME, Catalog, Isoclass, get_catalog
-from .groebner import GroebnerError, hilbert_table
+from .groebner import hilbert_table
 from .pluecker import ideal
 from .pointcount import (
     Classification,
@@ -202,10 +202,20 @@ class ExperimentReport:
         return self.poset.sinks(self.gamma2)
 
 
-def classify_node(cfg: PrincipalConfig, iso: Isoclass) -> Classification:
-    """Counting-polynomial classification of one isoclass within cfg's budgets."""
+# nodes whose check counts share one stacked DP pass in ``classify_all``
+_STACK = 128
+
+
+def classify_node(cfg: PrincipalConfig, iso):
+    """Counting-polynomial classification of one isoclass within cfg's
+    budgets.  For a sequence of isoclasses, a list of each one's
+    Classification or CountError, their check counts stacked (``classify``)."""
+    def realize(p: int):
+        cat = cfg.catalog_at(p)
+        return cat.realize(iso) if isinstance(iso, Isoclass) else [cat.realize(x) for x in iso]
+
     return classify(
-        lambda p: cfg.catalog_at(p).realize(iso),
+        realize,
         cfg.e,
         max_prime=cfg.max_prime,
         enum_budget=cfg.enum_budget,
@@ -220,23 +230,36 @@ def classify_all(cfg: PrincipalConfig, *, progress=None) -> ExperimentReport:
     requires a single top-dimensional component (irreducibility proxy).
     Both are asserted to be lower ideals.  Nodes whose classification fails
     within budget are recorded in ``gaps`` and excluded from the loci, and
-    so are empty Grassmannians (dimension -1).  ``progress(k, n, iso, cls)``
-    is called after every node, with ``cls`` None for a budget gap.
+    so are empty Grassmannians (dimension -1).  The generic node is rigid,
+    so its Grassmannian is smooth and projective with an affine paving: a
+    polynomial that is not a palindrome of degree ``expected_dim`` is a
+    smoothness mismatch, and a gap.  The nodes are classified ``_STACK``
+    at a time in poset order, and ``progress(k, n, iso, cls)`` is called
+    for every node of a stack once the stack is done, with ``cls`` None
+    for a budget gap.
     """
     poset = cfg.poset
+    nodes = poset.nodes
+    generic = poset.minimal_element()
     report = ExperimentReport(cfg)
-    for k, iso in enumerate(poset.nodes):
-        try:
-            cls = classify_node(cfg, iso)
-        except (CountError, GroebnerError) as exc:
-            cls = None
-            report.gaps.append(f"{iso}: {exc}")
-        else:
-            if not cls.consistent:
-                report.gaps.append(f"{iso}: {cls.reason}")
-            report.classifications[iso] = cls
-        if progress:
-            progress(k + 1, len(poset.nodes), iso, cls)
+    for lo in range(0, len(nodes), _STACK):
+        stack = nodes[lo:lo + _STACK]
+        for k, iso, cls in zip(itertools.count(lo + 1), stack, classify_node(cfg, stack)):
+            if isinstance(cls, CountError):
+                report.gaps.append(f"{iso}: {cls}")
+                cls = None
+            else:
+                if iso == generic and cls.consistent:
+                    coeffs = [int(c) for c in cls.polynomial.coeffs]
+                    if len(coeffs) - 1 != cfg.expected_dim or coeffs != coeffs[::-1]:
+                        cls.consistent = False
+                        cls.reason = (f"smoothness mismatch: coefficients {coeffs} are not "
+                                      f"a palindrome of degree expected_dim = {cfg.expected_dim}")
+                if not cls.consistent:
+                    report.gaps.append(f"{iso}: {cls.reason}")
+                report.classifications[iso] = cls
+            if progress:
+                progress(k, len(nodes), iso, cls)
     classified = [x for x, cls in report.classifications.items()
                   if cls.consistent and cls.dimension >= 0]
     if classified:

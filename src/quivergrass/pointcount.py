@@ -10,7 +10,9 @@ neighbour is a leaf, each leaf message takes one value on the points inside
 a subspace Z_c and one outside, so the root sum is an inclusion-exclusion
 over the ranks of intersections of the Z_c and no subspace is enumerated
 (``_point_root_sum``); the ranks add over direct summands, so they are
-read from tables per catalog summand.
+read from tables per catalog summand.  A stack of modules of one quiver
+and dimension vector is counted in one pass, each message holding one row
+per module.
 
 ``classify`` reads off the counting polynomial P(q) = sum c_i q^i, whose
 degree and leading coefficient classify the variety (dimension, number of
@@ -26,8 +28,9 @@ polynomial of each indecomposable model is decoded once from its counts:
 Dynkin quiver Grassmannians have affine pavings, so every c_i >= 0, and
 once the product of the primes counted exceeds P(1) every c_i is a CRT
 residue of the counts (``decode``).  The DP count of the module itself at
-p = 2 and 3 then checks the product; Newton interpolation
-(``interpolate``) and ``brute_force_count`` remain as oracles.
+p = 2 and 3, stacked with the other modules being classified, then checks
+the product; Newton interpolation (``interpolate``) and
+``brute_force_count`` remain as oracles.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ class SubspaceEnum:
     Rows are grouped into contiguous blocks sharing one pivot-column
     pattern (``blocks`` lists (start, stop, pivots)), which downstream rank
     computations exploit: the basis rows are already in echelon form.
+    ``free`` lists, per block, its non-pivot columns and the bases restricted
+    to them, the only entries a reduction by the pivot rows reads.
     """
 
     def __init__(self, e: int, d: int, field: PrimeField, *, budget: int = DEFAULT_ENUM_BUDGET):
@@ -81,6 +86,7 @@ class SubspaceEnum:
         self.size = int(total)
         chunks = []
         self.blocks: list[tuple[int, int, tuple[int, ...]]] = []
+        self.free: list[tuple[list[int], np.ndarray]] = []
         pos = 0
         for pivots in itertools.combinations(range(d), e):
             free = [
@@ -99,6 +105,8 @@ class SubspaceEnum:
                     block[:, i, j] = (digits // p**k) % p
             chunks.append(block)
             self.blocks.append((pos, pos + count, pivots))
+            nonpiv = [c for c in range(d) if c not in pivots]
+            self.free.append((nonpiv, block[:, :, nonpiv]))
             pos += count
         self.bases = np.concatenate(chunks, axis=0)
         assert self.bases.shape[0] == self.size
@@ -137,8 +145,7 @@ def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.n
         return out
     dtype = f.dot_dtype(e)
     w = w.astype(dtype)
-    for start, stop, pivots in en.blocks:
-        nonpiv = [c for c in range(d) if c not in pivots]
+    for (start, stop, pivots), (nonpiv, free) in zip(en.blocks, en.free):
         w_piv = w[:, :, pivots]
         w_rest = w[:, :, nonpiv]
         n_step = min(_CHUNK, stop - start)
@@ -146,13 +153,16 @@ def _sum_dims_with_fixed(en: SubspaceEnum, w: np.ndarray, f: PrimeField) -> np.n
         for lo in range(start, stop, n_step):
             hi = min(lo + n_step, stop)
             # the pivot columns of an rref basis form the identity, so only
-            # the non-pivot columns of the reduced rows can be nonzero
-            b = en.bases[lo:hi, :, :][:, :, nonpiv].astype(dtype)
+            # the non-pivot columns of the reduced rows can be nonzero; the
+            # product is taken in w's wider type
+            b = free[lo - start:hi - start]
             for j in range(0, stack, k_step):
                 js = slice(j, j + k_step)
                 rest = w_rest[js, None] - np.einsum("jke,nef->jnkf", w_piv[js], b)
-                if rest.shape[3] == 1:
+                if rest.shape[3] == 1:  # one column: rank 1 iff some entry is nonzero
                     out[js, lo:hi] = e + (f.reduce(rest[..., 0]) != 0).any(axis=2)
+                elif k == 1:  # one row: likewise
+                    out[js, lo:hi] = e + (f.reduce(rest[:, :, 0]) != 0).any(axis=2)
                 else:
                     ranks = f.batched_rank(rest.reshape(-1, k, d - e))  # reduces its input
                     out[js, lo:hi] = e + ranks.reshape(rest.shape[:2])
@@ -174,65 +184,69 @@ def _field_of(m: Representation, p: int) -> PrimeField:
     return m.field
 
 
-def count_points(m: Representation, e, p: int, *,
+def count_points(m, e, p: int, *,
                  enum_budget: int = DEFAULT_ENUM_BUDGET,
-                 pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
+                 pair_budget: int = DEFAULT_PAIR_BUDGET):
     """|Gr_e(M)(F_p)|: tuples of subspaces U_i with M_a(U_{s(a)}) in U_{t(a)}.
 
-    ``p`` must be the prime of ``m.field``.  When every e_v is 0 or d_v,
-    the one candidate point counts unless a nonzero map leaves a full U_s
-    for a zero U_t.  Otherwise a root with e_v = 1 or
-    e_v = d_v - 1 (0 < e_v < d_v) whose neighbours are all leaves is summed
-    in closed form by ``_point_root_sum``; any other root runs the tree DP,
-    whose every message is an object array of Python ints, one entry per
-    subspace of the receiving vertex.  The point root's ranks add over
-    direct summands: a recorded ``isoclass`` sums its catalog summands'
-    cached tables, any other module is its own single summand.
-    ``enum_budget`` bounds only the enumerations built; a point root has none."""
-    q = m.quiver
+    ``m`` is one representation, or a sequence of K representations of one
+    quiver and dimension vector, whose counts come back as a list from one
+    pass (a single module is a stack of one).  ``p`` must be the prime of
+    every module's field.  When every e_v is 0 or d_v, the one candidate
+    point counts unless a nonzero map leaves a full U_s for a zero U_t.
+    Otherwise a root with e_v = 1 or e_v = d_v - 1 (0 < e_v < d_v) whose
+    neighbours are all leaves is summed in closed form by
+    ``_point_root_sum``; any other root runs the tree DP, whose every
+    message is a (K, N) object array of Python ints, one row per module and
+    one entry per subspace of the receiving vertex.  Both closed forms run
+    per module.  The point root's ranks add over direct summands: a
+    recorded ``isoclass`` sums its catalog summands' cached tables, any
+    other module is its own single summand.  ``enum_budget`` bounds only
+    the enumerations built; a point root has none."""
+    single = isinstance(m, Representation)
+    ms = [m] if single else list(m)
+    if not ms:
+        return []
+    first = ms[0]
+    q, dims = first.quiver, first.dims
     e = q.check_dimvector(e)
     for i in range(q.n):
-        if e[i] > m.dims[i]:
-            raise CountError(f"e = {e[i]} exceeds d = {m.dims[i]} at vertex {q.name(i)}")
-    f = _field_of(m, p)
-    if all(x in (0, d) for x, d in zip(e, m.dims)):
+        if e[i] > dims[i]:
+            raise CountError(f"e = {e[i]} exceeds d = {dims[i]} at vertex {q.name(i)}")
+    f = _field_of(first, p)
+    for other in ms[1:]:
+        if other.quiver != q or other.dims != dims:
+            raise CountError("a stack of modules must share the quiver and dimension vector")
+        _field_of(other, p)
+    counts = _count_stack(ms, q, dims, e, f, enum_budget, pair_budget)
+    return counts[0] if single else counts
+
+
+def _count_stack(ms: list[Representation], q: Quiver, dims: tuple[int, ...],
+                 e: tuple[int, ...], f: PrimeField, enum_budget: int,
+                 pair_budget: int) -> list[int]:
+    """``count_points`` of the checked stack ``ms``."""
+    p, stack = f.p, len(ms)
+    if all(x in (0, d) for x, d in zip(e, dims)):
         # every U_v is 0 or M_v: the one candidate fails only where a nonzero
         # map leaves a full U_s for a zero U_t
-        return int(not any(e[s] and not e[t] and m.maps[a].any()
-                           for a, (s, t) in enumerate(q.arrows)))
-    gauss = _gauss_table(p, max(m.dims, default=0))
+        return [int(not any(e[s] and not e[t] and m.maps[a].any()
+                            for a, (s, t) in enumerate(q.arrows))) for m in ms]
+    gauss = _gauss_table(p, max(dims, default=0))
     adj = q.neighbors()
-    root = _cheapest_root(q, m.dims, e, p)
+    root = _cheapest_root(q, dims, e, p)
 
     def enum(v: int) -> SubspaceEnum:
-        return enumerate_subspaces(e[v], m.dims[v], f, budget=enum_budget)
+        return enumerate_subspaces(e[v], dims[v], f, budget=enum_budget)
 
     def leaf_values(child: int, v: int) -> list:
         """Message values of the leaf ``child`` into v: the number of U_child
         compatible with U_v, indexed by dim A^{-1}(U_v) for an arrow
         A: child -> v and by dim B(U_v) for an arrow B: v -> child."""
-        dc, ec = m.dims[child], e[child]
+        dc, ec = dims[child], e[child]
         if q.source(q.edge_arrow[child, v]) == child:
             return [gauss[n][ec] for n in range(dc + 1)]
         return [gauss[dc - r][ec - r] if r <= ec else 0 for r in range(min(e[v], dc) + 1)]
-
-    def closed_message(child: int, v: int) -> np.ndarray:
-        """Message of an unweighted leaf ``child`` into ``v``, per U_v."""
-        a = q.edge_arrow[child, v]
-        ev = enum(v)
-        values = np.array(leaf_values(child, v), dtype=object)
-        if q.source(a) == child:  # arrow child -> v, map A: M_child -> M_v
-            # dim of the preimage of U under A, then count subspaces inside
-            dim_sum = _sum_dims_with_fixed(ev, m.maps[a].T[None], f)[0]
-            return values[m.dims[child] - dim_sum + e[v]]
-        # arrow v -> child, map B: M_v -> M_c: count U_c containing B(U_v)
-        B = m.maps[a]
-        r = np.empty(ev.size, dtype=np.int64)
-        for lo in range(0, ev.size, _CHUNK):
-            hi = min(lo + _CHUNK, ev.size)
-            bu = ev.bases[lo:hi].astype(np.int64)
-            r[lo:hi] = f.batched_rank(np.einsum("nij,kj->nik", bu, B))  # reduces its input
-        return values[r]
 
     def point_values(child: int, v: int, dim_y: int) -> tuple[int, int]:
         """The leaf message (g0, g1) at a point root v: it reads only
@@ -243,17 +257,65 @@ def count_points(m: Representation, e, p: int, *,
 
         def g(bit: int) -> int:
             t = bit if e[v] == 1 else dim_y - 1 + bit
-            k = m.dims[child] - dim_y + t if into else e[v] - t
+            k = dims[child] - dim_y + t if into else e[v] - t
             # a bit no U_v takes may index past the table; its value is unread
             return values[k] if 0 <= k < len(values) else 0
 
         return g(0), g(1)
 
+    dv = dims[root]
+    if 0 < e[root] < dv and e[root] in (1, dv - 1) and all(len(adj[c]) == 1 for c in adj[root]):
+        line = e[root] == 1
+        out = []
+        for m in ms:
+            if m.isoclass is None:
+                mults, tables = [1], [_point_ranks(m, root, line)]
+            else:
+                mults = list(m.isoclass.counts.values())
+                tables = [_summand_point_ranks(q, p, label, root, line)
+                          for label in m.isoclass.counts]
+            # dims and ranks of a direct sum: the summands' own, with multiplicity
+            totals = (np.array(mults) @ np.array(tables)).tolist()
+            gs = [point_values(c, root, dim_y) for c, dim_y in zip(adj[root], totals)]
+            out.append(_point_root_sum(p, dv, gs, totals[len(gs):]))
+        return out
+    if stack > 1:
+        # a message holds one row per module: a stack whose rows of the
+        # largest enumeration would exceed _CHUNK entries is counted in slices
+        step = max(1, _CHUNK // max(gauss[d][x] for d, x in zip(dims, e)))
+        if stack > step:
+            return [n for lo in range(0, stack, step) for n in
+                    _count_stack(ms[lo:lo + step], q, dims, e, f, enum_budget, pair_budget)]
+    # (K, d_source, d_target): the transposed map of each arrow in every module
+    maps_t = [np.array([m.maps[a].T for m in ms]) for a in range(len(q.arrows))]
+
+    def closed_message(child: int, v: int) -> np.ndarray:
+        """Message of an unweighted leaf ``child`` into ``v``, per module and U_v."""
+        a = q.edge_arrow[child, v]
+        ev = enum(v)
+        values = np.array(leaf_values(child, v), dtype=object)
+        if q.source(a) == child:  # arrow child -> v, maps A: M_child -> M_v
+            # dim of the preimage of U under A, then count subspaces inside
+            dim_sum = _sum_dims_with_fixed(ev, maps_t[a], f)
+            return values[dims[child] - dim_sum + e[v]]
+        # arrow v -> child, maps B: M_v -> M_c: count U_c containing B(U_v)
+        r = np.empty((stack, ev.size), dtype=np.int64)
+        step = max(1, _CHUNK // stack)
+        for lo in range(0, ev.size, step):
+            bu = ev.bases[lo:lo + step].astype(np.int64)
+            bub = np.einsum("nij,sjk->snik", bu, maps_t[a])
+            k, n, e_v, d_c = bub.shape
+            ranks = f.batched_rank(bub.reshape(k * n, e_v, d_c))  # reduces its input
+            r[:, lo:lo + step] = ranks.reshape(k, n)
+        return values[r]
+
     def pair_message(child: int, v: int, w_child: np.ndarray) -> np.ndarray:
-        """Message of a weighted ``child`` into v: per U_v, the sum of
-        ``w_child`` over the compatible U_child.  The subspaces on the
-        arrow's source side are pushed through its map a slice at a time,
-        and one kernel call tests each slice against the target side."""
+        """Message of a weighted ``child`` into v: per module and U_v, the
+        sum of its row of ``w_child`` over the compatible U_child.  The
+        subspaces on the arrow's source side are pushed through every
+        module's map a slice at a time, and one kernel call tests the
+        images against the target side, at most ``_CHUNK`` (module, source
+        subspace, target subspace) triples at a time."""
         a = q.edge_arrow[child, v]
         ec, ev = enum(child), enum(v)
         if ec.size * ev.size > pair_budget:
@@ -263,42 +325,39 @@ def count_points(m: Representation, e, p: int, *,
             )
         into_v = q.source(a) == child
         src, tgt = (ec, ev) if into_v else (ev, ec)
-        out = np.zeros(ev.size, dtype=object)
-        step = max(1, _CHUNK // tgt.size)
-        for lo in range(0, src.size, step):
-            img = f.reduce(src.bases[lo:lo + step].astype(np.int64) @ m.maps[a].T)
-            # inside[j, x]: the image of source subspace lo + j lies in target x
-            inside = _sum_dims_with_fixed(tgt, img, f) == tgt.e
-            if into_v:
-                out += w_child[lo:lo + step] @ inside
-            else:
-                out[lo:lo + step] = inside @ w_child
+        out = np.zeros((stack, ev.size), dtype=object)
+        s_step = min(src.size, max(1, _CHUNK // tgt.size))
+        k_step = max(1, _CHUNK // (s_step * tgt.size))
+        for lo in range(0, src.size, s_step):
+            ss = slice(lo, lo + s_step)
+            bases = src.bases[ss].astype(np.int64)
+            for j in range(0, stack, k_step):
+                js = slice(j, j + k_step)
+                img = f.reduce(bases @ maps_t[a][js, None])
+                k, n, e_src, d_tgt = img.shape
+                # inside[k, s, x]: module k maps source subspace lo + s into target x
+                dim_sum = _sum_dims_with_fixed(tgt, img.reshape(k * n, e_src, d_tgt), f)
+                inside = (dim_sum == tgt.e).reshape(k, n, tgt.size)
+                if into_v:
+                    out[js] += (w_child[js, None, ss] @ inside)[:, 0]
+                else:
+                    out[js, ss] = (inside @ w_child[js, :, None])[..., 0]
         return out
 
-    dv = m.dims[root]
-    if 0 < e[root] < dv and e[root] in (1, dv - 1) and all(len(adj[c]) == 1 for c in adj[root]):
-        line = e[root] == 1
-        if m.isoclass is None:
-            mults, tables = [1], [_point_ranks(m, root, line)]
-        else:
-            mults = list(m.isoclass.counts.values())
-            tables = [_summand_point_ranks(q, p, label, root, line) for label in m.isoclass.counts]
-        # dims and ranks of a direct sum: the summands' own, with multiplicity
-        totals = (np.array(mults) @ np.array(tables)).tolist()
-        gs = [point_values(c, root, dim_y) for c, dim_y in zip(adj[root], totals)]
-        return _point_root_sum(p, dv, gs, totals[len(gs):])
-    # the message of c into its parent v, per U_v: a leaf's closed message,
-    # or the pair message of the product of c's own children's messages
+    # the messages of c into its parent v, per module and U_v: a leaf's
+    # closed message, or the pair message of the product of c's own
+    # children's messages
     msgs: dict[int, np.ndarray] = {}
     for c, v in _post_order(adj, root):
         below = [msgs.pop(w) for w in adj[c] if w != v]
         msgs[c] = pair_message(c, v, math.prod(below)) if below else closed_message(c, v)
     if not msgs:
-        return int(gaussian_binomial(m.dims[root], e[root], p))
-    return int(math.prod(msgs.values()).sum())
+        return [int(gaussian_binomial(dims[root], e[root], p))] * stack
+    return math.prod(msgs.values()).sum(axis=1).tolist()
 
 
-def _post_order(adj: tuple[tuple[int, ...], ...], root: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=256)
+def _post_order(adj: tuple[tuple[int, ...], ...], root: int) -> tuple[tuple[int, int], ...]:
     """The (child, parent) edges of the tree rooted at ``root`` in the
     order of a recursive post-order: every edge after the edges below it,
     siblings in ``adj`` order.  It is the reverse of a pre-order that
@@ -308,8 +367,7 @@ def _post_order(adj: tuple[tuple[int, ...], ...], root: int) -> list[tuple[int, 
         c, v = stack.pop()
         order.append((c, v))
         stack.extend((w, c) for w in adj[c] if w != v)
-    order.reverse()
-    return order
+    return tuple(reversed(order))
 
 
 def _point_ranks(m: Representation, root: int, line: bool) -> tuple[int, ...]:
@@ -787,7 +845,7 @@ def _product(m: Representation, e) -> tuple[list[int], int]:
 
 def classify(m_for_prime, e, *, max_prime: int = 101,
              enum_budget: int = DEFAULT_ENUM_BUDGET,
-             pair_budget: int = DEFAULT_PAIR_BUDGET) -> Classification:
+             pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Classify a quiver Grassmannian by its counting polynomial.
 
     ``m_for_prime`` is a callable p -> Representation over F_p (the same
@@ -799,28 +857,58 @@ def classify(m_for_prime, e, *, max_prime: int = 101,
     per-summand decode counted at a prime above ``max_prime``; a count
     that disagrees with the product gives ``consistent=False`` and a
     ``reason``.
+
+    ``m_for_prime`` may instead return a sequence of modules of one
+    dimension vector, in the same order at every prime.  Then the result
+    is a list with, per module, its Classification or the CountError its
+    classification raised.  The modules that reach a check prime are
+    counted there in one stacked ``count_points`` call, so an error of
+    that call (a budget, which depends only on d, e and p) is the error of
+    each of them; a module's own product error is its own.
     """
-    m2 = m_for_prime(2)
-    coeffs, top = _product(m2, e)
-    if top > max_prime:
-        raise CountError(f"the per-summand decodes count up to p={top}, "
-                         f"above max_prime={max_prime}")
-    counts: dict[int, int] = {}
-    reason = ""
-    for p in CHECK_PRIMES if coeffs else CHECK_PRIMES[:1]:
-        m = m2 if p == 2 else m_for_prime(p)
-        counts[p] = count_points(m, e, p, enum_budget=enum_budget, pair_budget=pair_budget)
-        value = sum(c * p**i for i, c in enumerate(coeffs))
-        if counts[p] != value:
-            reason = f"check mismatch at p={p}: counted {counts[p]}, product gives {value}"
+    first = m_for_prime(2)
+    single = isinstance(first, Representation)
+    ms = [first] if single else list(first)
+    results: list = []
+    todo = []  # (position, product coefficients) of the modules counted next
+    for i, m in enumerate(ms):
+        try:
+            coeffs, top = _product(m, e)
+            if top > max_prime:
+                raise CountError(f"the per-summand decodes count up to p={top}, "
+                                 f"above max_prime={max_prime}")
+        except CountError as exc:
+            results.append(exc)
+            continue
+        poly = CountingPolynomial(tuple(map(Fraction, coeffs)))
+        results.append(Classification(dimension=poly.degree, top_count=int(poly.leading),
+                                      polynomial=poly, consistent=True, method="dp"))
+        todo.append((i, coeffs))
+    for p in CHECK_PRIMES:
+        if not todo:
             break
-    poly = CountingPolynomial(tuple(Fraction(c) for c in coeffs))
-    return Classification(
-        dimension=poly.degree,
-        top_count=int(poly.leading),
-        polynomial=poly,
-        consistent=not reason,
-        method="dp",
-        counts=counts,
-        reason=reason,
-    )
+        if p != CHECK_PRIMES[0]:
+            ms = [m_for_prime(p)] if single else m_for_prime(p)
+        try:
+            counted = count_points([ms[i] for i, _ in todo], e, p,
+                                   enum_budget=enum_budget, pair_budget=pair_budget)
+        except CountError as exc:  # a budget of (d, e, p): every module counted here
+            for i, _ in todo:
+                results[i] = exc
+            break
+        left = []  # only a nonempty product that matched is counted at the next prime
+        for (i, coeffs), n in zip(todo, counted):
+            cls = results[i]
+            cls.counts[p] = n
+            value = sum(c * p**k for k, c in enumerate(coeffs))
+            if n != value:
+                cls.consistent = False
+                cls.reason = f"check mismatch at p={p}: counted {n}, product gives {value}"
+            elif coeffs:
+                left.append((i, coeffs))
+        todo = left
+    if not single:
+        return results
+    if isinstance(results[0], CountError):
+        raise results[0]
+    return results[0]

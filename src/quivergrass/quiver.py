@@ -263,9 +263,11 @@ def parse_quiver(text: str) -> Quiver:
         vertices: 1 2 3 4
         arrow: 1 -> 2
 
-    Whitespace-insensitive; ``#`` starts a comment.
+    Whitespace-insensitive; ``#`` starts a comment.  The vertices are
+    declared once: their order fixes the internal indices.
     """
     vertices: list[int] | None = None
+    vertices_line = 0
     arrows: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -276,7 +278,11 @@ def parse_quiver(text: str) -> Quiver:
         key, _, val = line.partition(":")
         key = key.strip().lower()
         if key == "vertices":
+            if vertices is not None:
+                raise QuiverError(f"line {lineno}: second 'vertices:' declaration "
+                                  f"(the first is on line {vertices_line})")
             vertices = [_vertex_name(tok, lineno) for tok in val.split()]
+            vertices_line = lineno
         elif key == "arrow":
             ends = val.split("->")
             if len(ends) != 2:

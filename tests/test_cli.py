@@ -6,6 +6,8 @@ import pytest
 
 from quivergrass import cli
 from quivergrass.cli import main
+from quivergrass.lab import PrincipalConfig, classify_all
+from quivergrass.quiver import zigzag_quiver
 
 
 @pytest.fixture()
@@ -98,6 +100,9 @@ def test_library_errors_exit_with_one_line(capsys, arrow_file, argv, message):
                  id="vertex-not-an-integer"),
     pytest.param("vertices: 1 2 3\narrow: 1 -> 2 -> 3\n", "1,1,1",
                  "line 2: arrow needs 'a -> b'", id="arrow-chain"),
+    pytest.param("vertices: 1 2 3\narrow: 1 -> 2\narrow: 3 -> 2\nvertices: 3 2 1\n", "1,1,1",
+                 "line 4: second 'vertices:' declaration (the first is on line 1)",
+                 id="second-vertices-line"),
     pytest.param(None, "1,-1,1", "negative entry in dimension vector", id="negative"),
     pytest.param(None, "1,x,1", "multiplicities must be integers, got '1,x,1'",
                  id="not-an-integer"),
@@ -214,6 +219,31 @@ def test_report_verb(capsys, arrow_file):
               "--proj", "1,1", "--inj", "1,1")
     data = json.loads(out)
     assert data["gamma2_sinks"]
+
+
+@pytest.mark.parametrize("verb", [["report"], ["report", "--dot"], ["conjecture", "C"]],
+                         ids=["report", "report-dot", "conjecture"])
+def test_progress_prints_one_stderr_line_per_node(capsys, zigzag_file, verb):
+    argv = [verb[0], "--quiver", zigzag_file, "--proj", "1,1,1", "--inj", "1,1,1", *verb[1:]]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(argv + ["--progress"]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out  # stdout byte-identical
+    cfg = PrincipalConfig(zigzag_quiver(3), (1, 1, 1), (1, 1, 1))
+    report = classify_all(cfg)
+    n = len(cfg.poset.nodes)
+    assert traced.err.splitlines() == [
+        f"{k}/{n} {iso}: dim {report.classification(iso).dimension}"
+        for k, iso in enumerate(cfg.poset.nodes, 1)]
+
+
+def test_progress_line_of_a_gap(capsys):
+    cfg = PrincipalConfig(zigzag_quiver(3), (1, 1, 1), (1, 1, 1))
+    iso = cfg.generic()
+    cli._print_progress(4, 26, iso, None)
+    assert capsys.readouterr().err == f"4/26 {iso}: gap\n"
 
 
 def test_out_directory(tmp_path, capsys, arrow_file):

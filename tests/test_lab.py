@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from quivergrass.catalog import Isoclass, get_catalog
-from quivergrass import groebner, lab, pluecker
+from quivergrass import groebner, lab, pluecker, pointcount
 from quivergrass.lab import (
     LabError,
     PrincipalConfig,
@@ -15,7 +15,7 @@ from quivergrass.lab import (
     report_json,
     split_at_deficient,
 )
-from quivergrass.pointcount import Classification, CountingPolynomial
+from quivergrass.pointcount import Classification, CountError, CountingPolynomial
 from quivergrass.quiver import Quiver, QuiverError, linear_quiver, zigzag_quiver
 from quivergrass.poset import build_poset
 
@@ -353,13 +353,14 @@ def test_empty_and_inconsistent_nodes_stay_out_of_the_loci(monkeypatch):
     broken = next(x for x in cfg.poset.nodes if x not in (empty, cfg.generic()))
     real = lab.classify_node
 
-    def patched(cfg, iso):
-        if iso == empty:
-            return Classification(-1, 0, CountingPolynomial(()), True, "dp", {2: 0})
-        cls = real(cfg, iso)
-        if iso == broken:
-            cls.consistent, cls.reason = False, "decode failed: test"
-        return cls
+    def patched(cfg, isos):  # classify_all classifies a stack of nodes per call
+        out = real(cfg, isos)
+        for k, iso in enumerate(isos):
+            if iso == empty:
+                out[k] = Classification(-1, 0, CountingPolynomial(()), True, "dp", {2: 0})
+            elif iso == broken:
+                out[k].consistent, out[k].reason = False, "decode failed: test"
+        return out
 
     monkeypatch.setattr(lab, "classify_node", patched)
     report = lab.classify_all(cfg)  # no LabError for dimension -1
@@ -386,3 +387,92 @@ def test_budget_failures_become_gaps_outside_the_loci():
     for iso in cfg.poset.nodes:
         assert iso not in report.classifications
         assert iso not in report.gamma1 and iso not in report.gamma2
+
+
+def _per_node_loop(cfg):
+    """classify_all's classifications, gaps and progress calls, rebuilt from
+    one ``classify_node`` call per node (no stacks)."""
+    classifications, gaps, calls = {}, [], []
+    n = len(cfg.poset.nodes)
+    for k, iso in enumerate(cfg.poset.nodes, 1):
+        try:
+            cls = lab.classify_node(cfg, iso)
+        except CountError as exc:
+            cls = None
+            gaps.append(f"{iso}: {exc}")
+        else:
+            if not cls.consistent:
+                gaps.append(f"{iso}: {cls.reason}")
+            classifications[iso] = cls
+        calls.append((k, n, iso, cls))
+    return classifications, gaps, calls
+
+
+@pytest.mark.parametrize("name", ["zigzag3_cfg", "eq_a3_cfg", "p1xp1_cfg", "a4_cfg",
+                                  "d4_center_cfg"])
+@pytest.mark.parametrize("stack", [5, lab._STACK])
+def test_stacked_classify_all_equals_a_per_node_loop(name, stack, request, monkeypatch):
+    cfg = request.getfixturevalue(name)
+    monkeypatch.setattr(lab, "_STACK", stack)  # 5: stacks end inside the poset
+    calls = []
+    report = lab.classify_all(cfg, progress=lambda *args: calls.append(args))
+    assert (report.classifications, report.gaps, calls) == _per_node_loop(cfg)
+
+
+@pytest.mark.parametrize("quiver, proj, inj, budgets", [
+    (linear_quiver(3, ">>"), (1, 1, 1), (1, 1, 1), {"enum_budget": 100}),
+    (linear_quiver(3, ">>"), (1, 1, 1), (1, 1, 1), {"max_prime": 3}),
+    (Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)]), (1, 1, 1, 1), (1, 0, 1, 1),
+     {"pair_budget": 10}),
+], ids=["enum-budget", "max-prime", "pair-budget"])
+def test_stacked_gaps_equal_a_per_node_loop(quiver, proj, inj, budgets, monkeypatch):
+    # a budget error of a stacked count is the gap of every node in the stack;
+    # a product error above max_prime stays the gap of its own node
+    cfg = PrincipalConfig(quiver, proj, inj, **budgets)
+    monkeypatch.setattr(lab, "_STACK", 5)
+    calls = []
+    report = lab.classify_all(cfg, progress=lambda *args: calls.append(args))
+    assert report.gaps
+    assert (report.classifications, report.gaps, calls) == _per_node_loop(cfg)
+
+
+def test_a_product_error_stays_the_gap_of_its_own_node(a4_cfg, monkeypatch):
+    # one node's product raises inside a stack; its neighbours are counted
+    cfg = a4_cfg
+    bad = cfg.poset.nodes[3]
+    real = pointcount._product
+
+    def product(m, e):
+        if m.isoclass == bad:
+            raise CountError("doctored product error")
+        return real(m, e)
+
+    monkeypatch.setattr(pointcount, "_product", product)
+    monkeypatch.setattr(lab, "_STACK", 8)
+    calls = []
+    report = lab.classify_all(cfg, progress=lambda *args: calls.append(args))
+    assert report.gaps == [f"{bad}: doctored product error"]
+    assert (report.classifications, report.gaps, calls) == _per_node_loop(cfg)
+
+
+def test_a_generic_polynomial_that_is_not_smooth_is_a_gap(monkeypatch):
+    # (q - 2)(q - 3) q added to the generic node's product keeps its values
+    # at both check primes but breaks the palindrome of degree expected_dim
+    cfg = PrincipalConfig(zigzag_quiver(3), (1, 1, 1), (1, 1, 1))
+    generic = cfg.generic()
+    real = pointcount._product
+
+    def product(m, e):
+        coeffs, top = real(m, e)
+        if m.isoclass == generic:
+            coeffs = [c + t for c, t in zip(coeffs, [0, 6, -5, 1] + [0] * len(coeffs))]
+        return coeffs, top
+
+    monkeypatch.setattr(pointcount, "_product", product)
+    report = lab.classify_all(cfg)
+    assert cfg.expected_dim == 5
+    assert report.gaps == [f"{generic}: smoothness mismatch: coefficients [1, 9, 1, 7, 3, 1] "
+                           f"are not a palindrome of degree expected_dim = 5"]
+    cls = report.classification(generic)
+    assert not cls.consistent and cls.counts == {2: 159, 3: 712}
+    assert generic not in report.gamma2 and generic not in report.gamma1

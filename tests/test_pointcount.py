@@ -261,6 +261,79 @@ def test_sum_dims_kernel_equals_stacked_rank(p, d, e, k, stack, seed):
             assert got[j, x] == f.rank(np.concatenate([en.bases[x].astype(np.int64), w[j]]))
 
 
+@pytest.mark.parametrize("quiver", [
+    linear_quiver(3, ">>"),
+    Quiver([1, 2, 3, 4], [(1, 2), (3, 2), (4, 3)]),  # A4: pair messages off the root
+    linear_quiver(4),  # weighted children on both sides of an arrow
+    linear_quiver(4, "<<>"),
+    Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4)]),  # D4 subspace orientation
+])
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([2, 3]), stack=st.integers(1, 4),
+       chunk=st.sampled_from([3, 40, pointcount._CHUNK]))
+@settings(max_examples=20, deadline=None)
+def test_a_stack_of_random_modules_counts_as_brute_force(quiver, seed, p, stack, chunk):
+    # one dimension vector, K random modules; a chunk of 3 splits every stack
+    # into single modules, and one of 40 cuts the stacked messages along both
+    # the module and the subspace axis
+    rng = np.random.default_rng(seed)
+    f = PrimeField(p)
+    dims = [int(rng.integers(1, 4)) for _ in range(quiver.n)]
+    ms = [Representation(quiver, f, dims,
+                         [_random_map(rng, f, dims[t], dims[s]) for s, t in quiver.arrows])
+          for _ in range(stack)]
+    e = tuple(int(rng.integers(0, dv + 1)) for dv in dims)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointcount, "_CHUNK", chunk)
+        got = count_points(ms, e, p)
+    assert got == [brute_force_count(m, e, p) for m in ms]
+
+
+A4_LLR = linear_quiver(4, "<<>")
+
+
+@pytest.mark.parametrize("name, step", [
+    ("zigzag3_cfg", 1), ("eq_a3_cfg", 1), ("p1xp1_cfg", 1), ("a4_cfg", 1),
+    ("d4_center_cfg", 1), ("a4_llr", 4),
+])
+def test_a_stacked_count_equals_the_per_module_counts(name, step, request):
+    if name == "a4_llr":
+        cfg = PrincipalConfig(A4_LLR, (1, 1, 1, 1), (1, 1, 1, 1))
+    else:
+        cfg = request.getfixturevalue(name)
+    for p in (2, 3):
+        ms = [cfg.catalog_at(p).realize(iso) for iso in cfg.poset.nodes[::step]]
+        assert count_points(ms, cfg.e, p) == [count_points(m, cfg.e, p) for m in ms]
+
+
+def test_a_stack_of_one_is_the_scalar_call(eq_a3_cfg, d4_center_cfg):
+    # the tree DP, a point root and a single candidate point
+    thin = Quiver([1, 2], [(1, 2)])
+    m_thin = get_catalog(thin, 2).realize(Isoclass({get_catalog(thin, 2).labels[0]: 1}))
+    cases = [(eq_a3_cfg.catalog_at(3).realize(eq_a3_cfg.generic()), eq_a3_cfg.e, 3),
+             (d4_center_cfg.catalog_at(2).realize(d4_center_cfg.generic()), d4_center_cfg.e, 2),
+             (m_thin, tuple(m_thin.dims), 2)]
+    for m, e, p in cases:
+        single = count_points(m, e, p)
+        assert isinstance(single, int)
+        assert count_points([m], e, p) == count_points((m,), e, p) == [single]
+    assert count_points([], (1, 2, 3), 2) == []
+
+
+def test_a_stack_must_share_quiver_dims_and_prime(eq_a3_cfg, zigzag3_cfg):
+    cfg = eq_a3_cfg
+    m = cfg.catalog_at(2).realize(cfg.generic())
+    other = zigzag3_cfg.catalog_at(2).realize(zigzag3_cfg.generic())
+    smaller = Representation(m.quiver, m.field, (1, 1, 1), [m.field.zeros(1, 1)] * 2)
+    at_three = cfg.catalog_at(3).realize(cfg.generic())
+    shared = "a stack of modules must share the quiver and dimension vector"
+    with pytest.raises(CountError, match=shared):
+        count_points([m, other], cfg.e, 2)
+    with pytest.raises(CountError, match=shared):
+        count_points([m, smaller], (0, 0, 0), 2)
+    with pytest.raises(CountError, match=r"p=2 .*F_3"):
+        count_points([m, at_three], cfg.e, 2)
+
+
 def test_pair_budget_names_the_edge_and_both_sizes():
     # 1 -> 2 <- 3 <- 4, d = (3, 5, 4, 4), e = (1, 4, 2, 1): the root is 2 and
     # the weighted child 3 sends a pair message over Gr(2, 4) x Gr(4, 5)

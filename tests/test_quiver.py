@@ -64,6 +64,20 @@ def test_parse_with_comments():
     assert parse_quiver(text) == zigzag_quiver(3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("vertices: 7 8\nvertices: 1 2\narrow: 1 -> 2\n",
+     "line 2: second 'vertices:' declaration (the first is on line 1)"),
+    ("vertices: 1 2\narrow: 1 -> 2\n\nvertices: 2 1\n",
+     "line 4: second 'vertices:' declaration (the first is on line 1)"),
+])
+def test_parse_refuses_a_second_vertices_line(text, message):
+    # the declaration order fixes the internal indices, and so the meaning of
+    # every --proj/--inj list: a second line must not replace the first
+    with pytest.raises(QuiverError) as exc:
+        parse_quiver(text)
+    assert str(exc.value) == message
+
+
 def test_euler_form_known_values():
     q = linear_quiver(2)  # 1 -> 2
     assert q.euler_form((1, 0), (0, 1)) == -1
